@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from convreg import (
     Measure,
+    RationalMatrix,
     brute_force_ginverse,
     build_support_table,
     builtin_group,
@@ -19,10 +20,10 @@ from convreg import (
     convolve,
     decide_regular,
     dirac,
+    gaussian_solve,
     left_operator,
     mat_mul,
     right_operator,
-    solve_stochastic,
     uniform_on,
 )
 
@@ -49,14 +50,22 @@ print()
 
 # --- the determining system --------------------------------------------------
 # mu * nu * mu = mu becomes (R L) beta = alpha for the weight vector beta of
-# nu; a stochastic solution is exactly a generalized inverse on the support.
+# nu; a solution with beta >= 0 and sum(beta) = 1 is exactly a generalized
+# inverse on the support.  Exact elimination on the stacked system shows that
+# the skewed S3 measure has none: its only solution has negative entries.
 M = mat_mul(R.matrix, L.matrix)
-outcome = solve_stochastic(M, skew)
-print("stochastic system on the skewed S3 measure:", outcome.status)
-if outcome.witness is not None:
-    print("witness:", outcome.witness)
-else:
-    print("reason:", outcome.reason)
+stacked = RationalMatrix.from_rows([*M.entries, [1] * table.size])
+kind, beta = gaussian_solve(stacked, skew + [Fraction(1)])
+print("equality system on the skewed S3 measure:", kind)
+print("solution:", ", ".join(str(v) for v in beta))
+# The engine does not need this system for its verdict: a measure is regular
+# exactly when it is uniform on a coset of a finite subgroup, and the
+# generalized inverse is then the point mass at the inverse of its first atom.
+skewed = Measure(s3, list(zip(table.elements, skew)))
+verdict = decide_regular(skewed)
+print("closed-form verdict:", verdict.status, "/", verdict.reason)
+coset = decide_regular(uniform_on(s3, list(table.elements)))
+print("uniform on S3:", coset.status, "with ginverse", coset.certificate.ginverse)
 print()
 
 # --- engine versus brute force ------------------------------------------------

@@ -34,7 +34,7 @@ print("ginverse:", verdict.certificate.ginverse)
 print("moore-penrose:", verdict.certificate.moore_penrose)
 print()
 
-# --- an open support: rejected before any linear algebra ------------------
+# --- an open support: rejected by the closure test ------------------------
 # {0, 1} is not closed (1 + 1 = 2 escapes), and a regular measure whose
 # support contains the identity must be supported on a subgroup.
 open_mu = uniform_on(z4, [z4.element(1)])
@@ -44,9 +44,10 @@ print("verdict:", open_verdict.status, "/", open_verdict.reason)
 print("detail:", open_verdict.detail)
 print()
 
-# --- a closed support that still fails: the exact linear system -----------
-# On the two-point subgroup, skewed weights (3/4, 1/4) admit no stochastic
-# solution; the solver exhibits the unique signed solution as its reason.
+# --- a closed support that still fails: unequal weights -------------------
+# A regular measure is uniform on a coset of a finite subgroup, so skewed
+# weights (3/4, 1/4) on the two-point subgroup are not regular.  The detail
+# shows why: the exact linear system for an inverse has only a signed solution.
 z2 = builtin_group("Z2")
 skewed = Measure(z2, [(z2.element(0), Fraction(3, 4)), (z2.element(1), Fraction(1, 4))])
 skew_verdict = decide_regular(skewed)

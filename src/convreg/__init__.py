@@ -1,16 +1,17 @@
 """Exact regularity of finitely supported probability measures under convolution.
 
-Finitely supported probability measures on a torsion group form a semigroup
-under convolution.  This package decides, in exact rational arithmetic,
+Finitely supported probability measures on a group form a semigroup under
+convolution.  This package decides, in exact rational arithmetic,
 whether a given measure ``mu`` is *regular* — whether some measure ``nu``
 satisfies ``mu * nu * mu = mu`` — and when it is, produces a verified
 generalized inverse and Moore-Penrose inverse.
 
 Group arithmetic comes from one of three backends (Cayley tables,
-permutations, or reduced words in the first Grigorchuk group); the decision
-engine reduces the question to an exact linear feasibility problem over the
-probability simplex, and an independent brute-force grid search provides an
-oracle for cross-checking.
+permutations, or reduced words in the first Grigorchuk group).  The decision
+engine uses a closed form — a measure is regular exactly when it is uniform
+on a coset of a finite subgroup — and re-verifies every certificate by direct
+convolution; an independent brute-force grid search provides an oracle for
+cross-checking.
 """
 
 from .bruteforce import brute_force_ginverse, candidate_universe
@@ -50,14 +51,12 @@ from .groups import (
     order,
 )
 from .linalg import (
-    FeasibilityResult,
     RationalMatrix,
     approx_stochastic_nnls,
     gaussian_solve,
     identity_matrix,
     mat_mul,
     mat_vec,
-    solve_stochastic,
 )
 from .measures import (
     Measure,
@@ -143,8 +142,6 @@ __all__ = [
     "mat_mul",
     "mat_vec",
     "gaussian_solve",
-    "FeasibilityResult",
-    "solve_stochastic",
     "approx_stochastic_nnls",
     # regularity engine
     "RegularitySystem",

@@ -1,7 +1,7 @@
 """Exhaustive grid search for generalized inverses.
 
-This is the ground-truth oracle used to cross-check the linear-system engine:
-it knows nothing about operator matrices or simplex tableaus and tests
+This is the ground-truth oracle used to cross-check the closed-form engine:
+it knows nothing about cosets or operator matrices and tests
 ``mu * nu * mu = mu`` for every candidate by direct convolution.
 
 Candidates are Farey-style rational compositions: for each denominator

@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Everything here works on ``fractions.Fraction`` entries — no floating point —
-so feasibility answers and witnesses are exact and deterministic.  The one
-floating-point routine, :func:`approx_stochastic_nnls`, is an explicitly
-approximate explorer that is never consulted for verdicts.
+so solutions are exact and deterministic.  The one floating-point routine,
+:func:`approx_stochastic_nnls`, is an explicitly approximate explorer that is
+never consulted for verdicts.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ __all__ = [
     "identity_matrix",
     "mat_mul",
     "mat_vec",
-    "FeasibilityResult",
-    "solve_stochastic",
     "gaussian_solve",
     "approx_stochastic_nnls",
 ]
@@ -122,132 +120,6 @@ def gaussian_solve(
     for i, col in enumerate(pivot_cols):
         x[col] = aug[i][n]
     return ("unique" if len(pivot_cols) == n else "many"), x
-
-
-@dataclass(frozen=True)
-class FeasibilityResult:
-    """Outcome of a stochastic-solution search.
-
-    ``status`` is ``"feasible"`` (with an exact ``witness``) or
-    ``"infeasible"`` (with a human-readable ``reason`` naming exact
-    rationals).
-    """
-
-    status: str
-    witness: list[Fraction] | None = None
-    reason: str | None = None
-
-
-def _phase1_simplex(
-    a_rows: list[list[Fraction]], b: list[Fraction]
-) -> tuple[Fraction, list[Fraction]]:
-    """Phase-1 simplex for ``A x = b, x >= 0`` with Bland's pivoting rule.
-
-    Artificial variables start in the basis; the method minimizes their sum.
-    Returns the optimal artificial mass (zero iff feasible) and the value of
-    the original variables at the final vertex.  Bland's rule — entering
-    variable of smallest index with negative reduced cost, leaving row
-    breaking ratio ties by smallest basic variable index — makes the result
-    deterministic and cycling impossible.
-    """
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    rows = []
-    rhs = []
-    for i in range(m):
-        if b[i] < 0:
-            rows.append([-v for v in a_rows[i]])
-            rhs.append(-b[i])
-        else:
-            rows.append(list(a_rows[i]))
-            rhs.append(b[i])
-    # Tableau columns: n structural variables, then m artificials.
-    tableau = [rows[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [rhs[i]] for i in range(m)]
-    basis = [n + i for i in range(m)]
-    width = n + m
-    # Reduced-cost row for minimizing the artificial sum.
-    cost = [Fraction(0)] * (width + 1)
-    for i in range(m):
-        for j in range(width + 1):
-            cost[j] -= tableau[i][j]
-    # Artificial columns start basic with zero reduced cost.
-    for j in range(n, width):
-        cost[j] = Fraction(0)
-    while True:
-        entering = next((j for j in range(width) if cost[j] < 0), None)
-        if entering is None:
-            break
-        best = None
-        for i in range(m):
-            coeff = tableau[i][entering]
-            if coeff > 0:
-                ratio = tableau[i][width] / coeff
-                key = (ratio, basis[i])
-                if best is None or key < best[0]:
-                    best = (key, i)
-        if best is None:
-            raise ArithmeticError("phase-1 objective unbounded; invariant breach")
-        _, leave = best
-        pivot = tableau[leave][entering]
-        tableau[leave] = [v / pivot for v in tableau[leave]]
-        for i in range(m):
-            if i != leave and tableau[i][entering] != 0:
-                f = tableau[i][entering]
-                tableau[i] = [v - f * w for v, w in zip(tableau[i], tableau[leave])]
-        if cost[entering] != 0:
-            f = cost[entering]
-            cost = [v - f * w for v, w in zip(cost, tableau[leave])]
-        basis[leave] = entering
-    optimum = -cost[width]
-    x = [Fraction(0)] * n
-    for i, var in enumerate(basis):
-        if var < n:
-            x[var] = tableau[i][width]
-    return optimum, x
-
-
-def solve_stochastic(m: RationalMatrix, alpha: Sequence[Fraction]) -> FeasibilityResult:
-    """Find ``beta >= 0`` with ``m beta = alpha`` and ``sum(beta) = 1``, exactly.
-
-    The convexity constraint is appended as an extra equality row and the
-    whole system is run through a phase-1 simplex over Fractions.  Feasible
-    instances return the deterministic vertex witness; infeasible ones return
-    a reason that, when the equality system pins a unique solution, exhibits
-    that exact solution.
-    """
-    if m.rows != m.cols:
-        raise DimensionMismatch(f"expected a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    if len(alpha) != n:
-        raise DimensionMismatch(f"matrix is {n}x{n} but rhs has length {len(alpha)}")
-    alpha = [Fraction(v) for v in alpha]
-    a_rows = [list(m.row(i)) for i in range(n)] + [[Fraction(1)] * n]
-    b = alpha + [Fraction(1)]
-    optimum, witness = _phase1_simplex(a_rows, b)
-    if optimum == 0:
-        return FeasibilityResult("feasible", witness=witness)
-    kind, solution = gaussian_solve(RationalMatrix.from_rows(a_rows), b)
-    if kind == "none":
-        reason = (
-            "the equality system is inconsistent: elimination derives a "
-            "contradictory equation, so no solution exists at all"
-        )
-    elif kind == "unique":
-        pretty = ", ".join(f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator) for v in solution)
-        bad = [i for i, v in enumerate(solution) if v < 0]
-        reason = (
-            f"the equality system has the unique solution ({pretty}), whose "
-            f"entry at index {bad[0]} is negative; no nonnegative solution exists"
-            if bad
-            else f"the equality system has the unique solution ({pretty}), which the simplex rejected; invariant breach"
-        )
-    else:
-        opt = f"{optimum.numerator}/{optimum.denominator}" if optimum.denominator != 1 else str(optimum.numerator)
-        reason = (
-            f"phase-1 simplex optimum is {opt} > 0: the solution set misses "
-            "the nonnegative orthant"
-        )
-    return FeasibilityResult("infeasible", reason=reason)
 
 
 def approx_stochastic_nnls(m: RationalMatrix, alpha: Sequence[Fraction]) -> tuple[list[float], float]:

@@ -5,23 +5,43 @@ A measure ``mu`` is regular when some measure ``nu`` satisfies
 ``nu * mu * nu`` is then a Moore-Penrose inverse (it satisfies both defining
 equations ``w w+ w = w`` and ``w+ w w+ = w+``).
 
+The decision rests on a closed form.  Let ``x`` be the canonically first
+support atom.  Then ``mu`` is regular exactly when ``K = x^{-1} supp(mu)`` is
+closed under multiplication and all weights of ``mu`` are equal, and then
+``dirac(x^{-1})`` is a generalized inverse.
+
+Proof.  Suppose ``mu * nu * mu = mu`` and put ``p = mu * nu``.  Then
+``p * p = p``, and a finitely supported idempotent probability measure is
+the uniform measure ``m_H`` on a finite subgroup ``H`` (Kawada-Ito 1940;
+Wendel, Proc. AMS 1954).  Supports of convolutions of positive measures
+multiply, so ``supp(mu) supp(nu) = H``: fixing ``t`` in ``supp(nu)`` puts
+``supp(mu)`` inside the single right coset ``H t^{-1}``.  And
+``mu = p * mu = m_H * mu`` is invariant under left translation by ``H``, so
+``mu`` is uniform on all of ``H t^{-1}``.  Hence the weights are equal and
+``x^{-1} supp(mu) = t H t^{-1}`` is a subgroup, in particular closed.
+Conversely, a finite nonempty closed subset ``K`` of a group is a subgroup
+(left multiplication by any ``k`` in ``K`` maps ``K`` injectively into, hence
+onto, itself), so equal weights make ``mu = dirac(x) * m_K`` and
+``mu * dirac(x^{-1}) * mu = dirac(x) * m_K * m_K = mu``.  No torsion
+hypothesis is needed anywhere.
+
 The decision procedure:
 
-1. translation-normalize: left-multiply by the point mass at ``x^{-1}`` for
-   the canonically first support atom ``x``, so the identity joins the
-   support (point masses are invertible, so this preserves regularity);
+1. translation-normalize: left-multiply by the point mass at ``x^{-1}``, so
+   the identity joins the support (point masses are invertible, so this
+   preserves regularity);
 2. if the normalized support is not closed under multiplication, the measure
-   is not regular — on torsion groups the support of a regular measure
-   containing the identity is a finite subgroup;
-3. otherwise index the support, build the left/right convolution operator
-   matrices L and R, and search for ``beta >= 0`` with
-   ``(R L) beta = alpha`` and ``sum(beta) = 1`` by an exact phase-1 simplex;
-4. a feasible witness is converted back into a measure, de-normalized, and
-   re-validated by direct convolution before a certificate is issued;
-5. infeasibility over the support rules out every candidate in the whole
-   measure semigroup: if any generalized inverse existed, the induced
-   Moore-Penrose inverse would be supported exactly on the (normalized)
-   support, hence inside the searched simplex.
+   is not regular;
+3. otherwise the measure is regular exactly when its weights are all equal;
+4. the certificate ``dirac(x^{-1})`` is re-validated by direct convolution,
+   on the normalized and on the original measure, before it is issued
+   together with the verified Moore-Penrose inverse.
+
+A closed support with unequal weights gets a diagnostic ``detail``: on at
+most ``SYSTEM_DIAGNOSTIC_MAX_ATOMS`` atoms the exact solution of the equality
+system ``(R L) beta = alpha``, ``sum(beta) = 1`` over the normalized support
+(see :func:`build_regularity_system`), and in every case one pair of atoms
+whose weights differ.
 
 Verdicts either carry a fully validated :class:`Certificate` or a reason
 (`support-not-closed` / `system-infeasible`) with exact diagnostics.
@@ -40,7 +60,7 @@ from .groups import (
     GroupElement,
     enumerate_group,
 )
-from .linalg import RationalMatrix, mat_mul, solve_stochastic
+from .linalg import RationalMatrix, gaussian_solve, mat_mul
 from .measures import (
     Measure,
     convolve,
@@ -67,10 +87,14 @@ __all__ = [
     "probe_uniform_subsets",
 ]
 
+#: Largest closed support whose unequal-weight diagnostic solves the exact
+#: equality system; larger ones only name a pair of unequal weights.
+SYSTEM_DIAGNOSTIC_MAX_ATOMS = 8
+
 
 @dataclass(frozen=True)
 class RegularitySystem:
-    """The exact linear system whose simplex solutions are inverse weights."""
+    """The exact system whose stochastic solutions are inverse weights."""
 
     table: SupportTable
     alpha: tuple[Fraction, ...]
@@ -164,6 +188,38 @@ def _closure_witness(mu: Measure) -> str:
     return "support is closed"  # pragma: no cover - callers check first
 
 
+def _infeasibility_detail(mu: Measure, normalized: Measure) -> str:
+    """Exact diagnostics for a closed support with unequal weights."""
+    x, wx = mu.atoms[0]
+    y, wy = next((el, w) for el, w in mu.atoms if w != wx)
+    pair = (
+        f"atoms {x} and {y} carry the unequal weights {wx} and {wy}, but a "
+        "regular measure is uniform on a coset of a finite subgroup"
+    )
+    if len(normalized) > SYSTEM_DIAGNOSTIC_MAX_ATOMS:
+        return pair
+    system = build_regularity_system(normalized)
+    stacked = RationalMatrix.from_rows([*system.matrix.entries, [1] * system.size])
+    kind, solution = gaussian_solve(stacked, [*system.alpha, Fraction(1)])
+    # Q[H] is semisimple (Maschke), so the system is consistent; a nonnegative
+    # solution would be a generalized inverse, which the closed form rules out.
+    if kind == "none" or min(solution) >= 0:
+        raise CertificateInvalid(f"equality system ({kind}) contradicts the closed form")
+    pretty = ", ".join(str(v) for v in solution)
+    index = next(i for i, v in enumerate(solution) if v < 0)
+    if kind == "unique":
+        reason = (
+            f"the equality system has the unique solution ({pretty}), whose "
+            f"entry at index {index} is negative; no nonnegative solution exists"
+        )
+    else:
+        reason = (
+            f"the equality system is underdetermined; its particular solution "
+            f"({pretty}) is negative at index {index}"
+        )
+    return f"{reason}; {pair}"
+
+
 def decide_regular(mu: Measure) -> Verdict:
     """Decide whether ``mu`` has a generalized inverse, with certificate."""
     group = mu.group
@@ -180,38 +236,21 @@ def decide_regular(mu: Measure) -> Verdict:
             mu,
             detail=(
                 prefix + _closure_witness(normalized)
-                + "; a regular measure whose support contains the identity has "
-                "a subgroup as support on torsion groups"
+                + "; the support of a regular measure, translated to contain "
+                "the identity, is a finite subgroup"
             ),
         )
-    system = build_regularity_system(normalized)
-    result = solve_stochastic(system.matrix, system.alpha)
-    if result.status == "infeasible":
+    if len({w for _, w in mu.atoms}) > 1:
         return Verdict(
             "not-regular",
             "system-infeasible",
             mu,
-            detail=(
-                f"{result.reason}; no inverse is supported on the normalized "
-                "support, and the Moore-Penrose support identity (the MP "
-                "inverse of a regular identity-supported measure has exactly "
-                "the same support) extends this to the whole measure semigroup"
-            ),
+            detail=_infeasibility_detail(mu, normalized),
         )
-    beta = result.witness
-    inverse_core = Measure(
-        group,
-        [
-            (system.table.elements[k], w)
-            for k, w in enumerate(beta)
-            if w > 0
-        ],
-    )
-    if convolve(convolve(normalized, inverse_core), normalized) != normalized:
-        raise CertificateInvalid(
-            "simplex witness failed direct convolution re-validation"
-        )
-    ginverse = inverse_core if trivial else convolve(inverse_core, dirac(xinv))
+    if convolve(convolve(normalized, dirac(e)), normalized) != normalized:
+        raise CertificateInvalid("normalized measure failed the closed-form re-validation")
+    # When x is the identity, its own spelling is kept (word backend).
+    ginverse = dirac(x if trivial else xinv)
     if not is_generalized_inverse(mu, ginverse):
         raise CertificateInvalid("de-normalized inverse failed re-validation")
     mp = moore_penrose(mu, ginverse)

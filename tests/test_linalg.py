@@ -1,8 +1,6 @@
-"""Exact rational matrices, elimination, and stochastic feasibility."""
+"""Exact rational matrices and elimination."""
 
-import random
 from fractions import Fraction as F
-from itertools import product
 
 import pytest
 
@@ -13,20 +11,11 @@ from convreg import (
     identity_matrix,
     mat_mul,
     mat_vec,
-    solve_stochastic,
 )
 
 
 def M(rows):
     return RationalMatrix.from_rows([[F(v) for v in row] for row in rows])
-
-
-def simplex_grid(n, max_den):
-    """All nonnegative rational vectors of length n, sum 1, denominator <= max_den."""
-    for q in range(1, max_den + 1):
-        for parts in product(range(q + 1), repeat=n):
-            if sum(parts) == q:
-                yield [F(k, q) for k in parts]
 
 
 # ---------------------------------------------------------------------------
@@ -60,8 +49,6 @@ def test_dimension_mismatches():
         mat_mul(m, identity_matrix(3))
     with pytest.raises(DimensionMismatch):
         mat_vec(m, [F(1)])
-    with pytest.raises(DimensionMismatch):
-        solve_stochastic(m, [F(1), F(0), F(0)])
 
 
 # ---------------------------------------------------------------------------
@@ -84,79 +71,3 @@ def test_gaussian_underdetermined_returns_particular_solution():
     kind, x = gaussian_solve(a, [F(1), F(2)])
     assert kind == "many"
     assert mat_vec(a, x) == [F(1), F(2)]
-
-
-# ---------------------------------------------------------------------------
-# Stochastic feasibility
-
-
-def test_identity_system_returns_alpha():
-    res = solve_stochastic(identity_matrix(2), [F(1, 3), F(2, 3)])
-    assert res.status == "feasible"
-    assert res.witness == [F(1, 3), F(2, 3)]
-
-
-def test_flat_system_picks_first_vertex():
-    res = solve_stochastic(M([["1/2", "1/2"], ["1/2", "1/2"]]), [F(1, 2), F(1, 2)])
-    assert res.status == "feasible"
-    assert res.witness == [F(1), F(0)]
-
-
-def test_skewed_system_reports_unique_negative_solution():
-    res = solve_stochastic(M([["5/8", "3/8"], ["3/8", "5/8"]]), [F(3, 4), F(1, 4)])
-    assert res.status == "infeasible"
-    assert "(3/2, -1/2)" in res.reason
-
-
-def test_inconsistent_system_reason():
-    res = solve_stochastic(M([[1, 0], [1, 0]]), [F(1, 2), F(1, 4)])
-    assert res.status == "infeasible"
-    assert "inconsistent" in res.reason
-
-
-def test_witnesses_are_exact_and_deterministic():
-    rng = random.Random(777)
-    for _ in range(80):
-        n = rng.randint(1, 4)
-        rows = [[F(rng.randint(0, 4), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
-        m = RationalMatrix.from_rows(rows)
-        alpha = [F(rng.randint(0, 3), 3) for _ in range(n)]
-        first = solve_stochastic(m, alpha)
-        second = solve_stochastic(m, alpha)
-        assert first == second
-        if first.status == "feasible":
-            beta = first.witness
-            assert all(v >= 0 for v in beta)
-            assert sum(beta) == 1
-            assert mat_vec(m, beta) == list(alpha)
-
-
-def test_feasibility_matches_elimination_for_invertible_systems():
-    rng = random.Random(31)
-    checked = 0
-    while checked < 60:
-        n = rng.randint(2, 3)
-        rows = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
-        m = RationalMatrix.from_rows(rows)
-        alpha = [F(rng.randint(0, 3), 3) for _ in range(n)]
-        kind, x = gaussian_solve(m, alpha)
-        if kind != "unique":
-            continue
-        checked += 1
-        expected = all(v >= 0 for v in x) and sum(x) == 1
-        assert (solve_stochastic(m, alpha).status == "feasible") == expected
-
-
-def test_feasibility_matches_grid_search():
-    # Exhaustive cross-check on tiny doubly stochastic systems: the simplex
-    # verdict must match a direct search of the denominator-bounded grid
-    # (vertex denominators divide the 2x2 determinant data, so the grid is
-    # conclusive at this size).
-    rng = random.Random(5150)
-    for _ in range(40):
-        a = F(rng.randint(0, 6), 6)
-        m = M([[a, 1 - a], [1 - a, a]])
-        alpha_raw = F(rng.randint(0, 6), 6)
-        alpha = [alpha_raw, 1 - alpha_raw]
-        found = any(mat_vec(m, beta) == alpha for beta in simplex_grid(2, 12))
-        assert (solve_stochastic(m, alpha).status == "feasible") == found

@@ -5,10 +5,13 @@ from fractions import Fraction as F
 
 import pytest
 
+import convreg.regularity
 from convreg import (
     GrigorchukGroup,
     Measure,
     NotAGInverse,
+    builtin_group,
+    builtin_names,
     convolve,
     decide_regular,
     decide_translated,
@@ -19,6 +22,7 @@ from convreg import (
     load_perm,
     moore_penrose,
     probe_uniform_subsets,
+    subgroups_of,
     support,
     uniform_on,
 )
@@ -102,6 +106,47 @@ def test_skewed_measure_is_infeasible():
     assert verdict.reason == "system-infeasible"
     assert verdict.certificate is None
     assert "(3/2, -1/2)" in verdict.detail
+
+
+def test_underdetermined_system_names_a_negative_particular_solution():
+    # On Z4 the weights (1/3, 1/6, 1/3, 1/6) make R L singular.
+    weights = [F(1, 3), F(1, 6), F(1, 3), F(1, 6)]
+    mu = Measure(Z4, [(Z4.element(i), w) for i, w in enumerate(weights)])
+    verdict = decide_regular(mu)
+    assert verdict.reason == "system-infeasible"
+    assert "underdetermined; its particular solution (2, -1, 0, 0)" in verdict.detail
+    assert "unequal weights 1/3 and 1/6" in verdict.detail
+
+
+def test_large_skewed_support_names_unequal_weights_without_a_system(monkeypatch):
+    def forbidden(mu):
+        raise AssertionError("the equality system was built")
+
+    monkeypatch.setattr(convreg.regularity, "build_regularity_system", forbidden)
+    a4 = load_perm("perm 4\n(0 1 2)\n(1 2 3)\n")
+    elems = enumerate_group(a4)
+    assert len(elems) == 12 > convreg.regularity.SYSTEM_DIAGNOSTIC_MAX_ATOMS
+    mu = Measure(a4, [(el, F(2 if i == 0 else 1, 13)) for i, el in enumerate(elems)])
+    verdict = decide_regular(mu)
+    assert (verdict.status, verdict.reason) == ("not-regular", "system-infeasible")
+    assert verdict.certificate is None
+    assert "carry the unequal weights 2/13 and 1/13" in verdict.detail
+
+
+def test_coset_uniform_certificates_are_the_inverse_point_mass():
+    checked = 0
+    for name in builtin_names():
+        group = builtin_group(name)
+        for indices in subgroups_of(group):
+            sub = [group.element(i) for i in indices]
+            for x in enumerate_group(group):
+                mu = Measure(group, [(x * h, F(1, len(sub))) for h in sub])
+                cert = decide_regular(mu).certificate
+                first = mu.atoms[0][0]
+                assert cert.ginverse == dirac(first.inverse())
+                assert moore_penrose(mu, cert.ginverse) == cert.moore_penrose
+                checked += 1
+    assert checked > 200
 
 
 def test_open_support_is_rejected_before_solving():
