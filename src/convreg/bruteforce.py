@@ -53,14 +53,8 @@ def candidate_universe(mu: Measure) -> tuple[GroupElement, ...]:
     translate).  When the identity is already in the support this is just
     ``S(mu)``.
     """
-    x = mu.atoms[0][0]
-    xinv = x.inverse()
-    out: list[GroupElement] = []
-    for s in support(mu):
-        el = xinv * s * xinv
-        if all(el != seen for seen in out):
-            out.append(el)
-    return tuple(sorted(out, key=lambda el: el.sort_key()))
+    xinv = mu.atoms[0][0].inverse()
+    return tuple(sorted({xinv * s * xinv for s in support(mu)}, key=lambda el: el.sort_key()))
 
 
 def brute_force_ginverse(
@@ -80,12 +74,9 @@ def brute_force_ginverse(
     """
     if max_denominator < 1:
         raise ValueError(f"max_denominator must be >= 1, got {max_denominator}")
-    universe: list[GroupElement] = []
-    for el in support_universe:
-        if el.group is not mu.group:
-            raise BackendMismatch("universe element belongs to a different group")
-        if all(el != seen for seen in universe):
-            universe.append(el)
+    universe = list(dict.fromkeys(support_universe))
+    if any(el.group is not mu.group for el in universe):
+        raise BackendMismatch("universe element belongs to a different group")
     m = len(universe)
     if m == 0:
         raise ValueError("support universe is empty")

@@ -23,9 +23,17 @@ the identity) or has sections of length at most ``ceil((L+1)/2) < L`` for
 ``L >= 3``; length-2 reduced words always contain exactly one ``a`` and hence
 swap.
 
-Identity tests are memoized in a bounded, lock-guarded, module-level cache
-(cleared wholesale when full), so group objects stay immutable and
-thread-safe.
+Elements hash by a fingerprint of their action on the top
+``_FINGERPRINT_DEPTH`` levels of the tree: at depth k, the swap bit and both
+sections' depth-(k-1) fingerprints packed exactly into one integer; at depth
+0, the image in the abelianization (C2)^3.  Equal elements have equal swaps,
+sections and abelian images, so all spellings of an element share a
+fingerprint, and dicts and sets of words work as on the other backends.
+Depth 3 already separates <a,d>, <a,c> and <a,b> (orders 8, 16, 32).
+
+Identity tests and fingerprints (per depth) are memoized in bounded,
+lock-guarded, module-level caches (cleared wholesale when full), so group
+objects stay immutable and thread-safe.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ __all__ = [
     "reduce_word",
     "word_sections",
     "is_identity_word",
+    "word_fingerprint",
     "word_order",
 ]
 
@@ -67,6 +76,11 @@ _CACHE_LIMIT = 1 << 18
 _cache: dict[str, bool] = {}
 _cache_lock = threading.Lock()
 
+_FINGERPRINT_DEPTH = 4
+_FINGERPRINT_LIMIT = 1 << 14  # entries per depth
+# _fingerprints[k - 1] maps a reduced word to its depth-k fingerprint.
+_fingerprints: tuple[dict[str, int], ...] = tuple({} for _ in range(_FINGERPRINT_DEPTH))
+
 
 def reduce_word(letters: str) -> str:
     """Normal form of a word: cancel squares, fold Klein pairs, repeat."""
@@ -86,6 +100,18 @@ def reduce_word(letters: str) -> str:
             else:
                 break
     return "".join(out)
+
+
+def _join(x: str, y: str) -> str:
+    """Normal form of ``x + y`` for reduced ``x``, ``y``: equal letters at the
+    junction cancel, then two of {b, c, d} fold into one between ``a``'s."""
+    i, j, n = len(x), 0, len(y)
+    while i and j < n and x[i - 1] == y[j]:
+        i -= 1
+        j += 1
+    if i and j < n and x[i - 1] != "a" and y[j] != "a":
+        return x[: i - 1] + _KLEIN[x[i - 1], y[j]] + y[j + 1 :]
+    return x[:i] + y[j:]
 
 
 def word_sections(word: str) -> tuple[bool, str, str]:
@@ -130,6 +156,30 @@ def is_identity_word(word: str) -> bool:
     return result
 
 
+def word_fingerprint(word: str, depth: int = _FINGERPRINT_DEPTH) -> int:
+    """Equality-invariant fingerprint of a reduced word (see the module docstring).
+
+    Depth 0 is the abelian image, with a, b, c, d -> 001, 010, 100, 110 added
+    in (C2)^3.  Depth k packs the swap bit and both sections' depth-(k-1)
+    fingerprints, which have at most ``(4 << (k-1)) - 1`` bits, exactly.
+    """
+    if depth == 0:
+        a, b, c, d = (word.count(letter) & 1 for letter in _ALPHABET)
+        return a | (b ^ d) << 1 | (c ^ d) << 2
+    memo = _fingerprints[depth - 1]
+    with _cache_lock:
+        fp = memo.get(word)
+    if fp is None:
+        swap, w0, w1 = word_sections(word)
+        bits = (4 << (depth - 1)) - 1
+        fp = swap | (word_fingerprint(w0, depth - 1) | word_fingerprint(w1, depth - 1) << bits) << 1
+        with _cache_lock:
+            if len(memo) >= _FINGERPRINT_LIMIT:
+                memo.clear()
+            memo[word] = fp
+    return fp
+
+
 def word_order(word: str, cap: int = DEFAULT_ORDER_CAP) -> int:
     """Order of a reduced word by repeated squaring.
 
@@ -141,7 +191,7 @@ def word_order(word: str, cap: int = DEFAULT_ORDER_CAP) -> int:
     acc = word
     k = 1
     while True:
-        acc = reduce_word(acc + acc)
+        acc = _join(acc, acc)
         k *= 2
         if k > cap:
             raise OrderBudgetExceeded(f"order of {word!r} exceeds cap {cap}")
@@ -153,10 +203,9 @@ class GrigorchukGroup(Group):
     """Backend handle for the first Grigorchuk group; payloads are reduced words."""
 
     backend = "grigorchuk"
-    unique_keys = False
 
     def _mul(self, x: str, y: str) -> str:
-        return reduce_word(x + y)
+        return _join(x, y)
 
     def _inv(self, x: str) -> str:
         # Generators are involutions, so inversion reverses the word; the
@@ -172,15 +221,10 @@ class GrigorchukGroup(Group):
     def _eq(self, x: str, y: str) -> bool:
         if x == y:
             return True
-        return is_identity_word(reduce_word(x + y[::-1]))
+        return word_fingerprint(x) == word_fingerprint(y) and is_identity_word(_join(x, y[::-1]))
 
     def _hash(self, x: str) -> int:
-        # An equality-invariant fingerprint: the image in the abelianization
-        # (C2)^3, with a -> (1,0,0), b -> (0,1,0), c -> (0,0,1), d -> (0,1,1).
-        pa = x.count("a") & 1
-        pb = (x.count("b") + x.count("d")) & 1
-        pc = (x.count("c") + x.count("d")) & 1
-        return hash((pa, pb, pc))
+        return word_fingerprint(x)
 
     def order_of(self, x: str, cap: int) -> int:
         return word_order(x, cap)

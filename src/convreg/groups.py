@@ -9,16 +9,19 @@ Three interchangeable backends share one element model:
 * the Grigorchuk backend (see :mod:`convreg.grigorchuk`) — reduced words over
   ``{a, b, c, d}``.
 
-Elements are lightweight handles ``(group, payload)``.  Payloads are canonical
-for the table and permutation backends (equal elements have identical
-payloads); the word backend resolves equality semantically.  Elements from
-different group objects never mix: ``multiply`` raises
-:class:`~convreg.errors.BackendMismatch`.
+Elements are lightweight handles ``(group, payload)`` with one hashed model:
+the backend's ``_eq`` and ``_hash`` see the element, not its spelling (plain
+payload equality on tables and permutations; tree sections and a level-action
+fingerprint on words), so plain ``dict`` and ``set`` hold elements of every
+backend.  Hashes ignore the group object and repeat from run to run; elements
+of different group objects never compare equal and never mix: ``multiply``
+raises :class:`~convreg.errors.BackendMismatch`.
 """
 
 from __future__ import annotations
 
 import abc
+import itertools
 from collections import deque
 from typing import Any, ClassVar, Iterable, Sequence
 
@@ -55,12 +58,9 @@ DEFAULT_CLOSURE_CAP = 4096
 
 
 class Group(abc.ABC):
-    """A group backend: payload arithmetic plus parsing and formatting."""
+    """A group backend: payload arithmetic, equality, hashing and text forms."""
 
     backend: ClassVar[str]
-    #: True when payloads are canonical, i.e. payload equality/hashing decides
-    #: element equality.  The word backend sets this to False.
-    unique_keys: ClassVar[bool] = True
 
     @abc.abstractmethod
     def _mul(self, x: Any, y: Any) -> Any:
@@ -86,7 +86,7 @@ class Group(abc.ABC):
     def format_payload(self, x: Any) -> str:
         """Inverse of :meth:`parse_element`, up to canonical spelling."""
 
-    # Equality/hash on payloads; the word backend overrides both.
+    # Payload equality and hash, which must agree; the word backend overrides both.
     def _eq(self, x: Any, y: Any) -> bool:
         return x == y
 
@@ -150,7 +150,7 @@ class GroupElement:
         return self.group._eq(self.payload, other.payload)
 
     def __hash__(self) -> int:
-        return hash((id(self.group), self.group._hash(self.payload)))
+        return self.group._hash(self.payload)
 
     def __repr__(self) -> str:
         return f"<{self.group.backend}:{self.group.format_payload(self.payload)}>"
@@ -197,8 +197,7 @@ class CayleyGroup(Group):
     ``table[i][j]`` is the index of the product of elements ``i`` and ``j``;
     index 0 is the identity.  The table is fully validated on construction:
     every row and column must be a permutation, row/column 0 must fix
-    everything, and associativity is checked (exhaustively up to order 64,
-    on a deterministic stride sample beyond that).
+    everything, and associativity is checked exactly by Light's test.
     """
 
     backend = "cayley"
@@ -229,16 +228,29 @@ class CayleyGroup(Group):
         self._check_associativity()
 
     def _check_associativity(self) -> None:
-        n = self.order
-        t = self.table
-        idx = range(n) if n <= 64 else range(0, n, max(1, n // 64))
-        for i in idx:
-            for j in idx:
-                for k in idx:
-                    if t[t[i][j]][k] != t[i][t[j][k]]:
-                        raise NotAGroup(
-                            f"associativity fails at (i, j, k) = ({i}, {j}, {k})"
-                        )
+        """Light's test: ``(x g) y == x (g y)`` for all ``x, y`` and generators ``g``.
+
+        The ``g`` that pass are closed under products, as ``(x(gh))y =
+        ((xg)h)y = (xg)(hy) = x(g(hy)) = x((gh)y)``; each generator is the
+        least index that right products of the earlier ones miss, so every
+        index passes.  A group needs at most log2(n) generators.
+        """
+        n, t = self.order, self.table
+        gens: list[int] = []
+        reached = {0}
+        for g in range(n):
+            if g in reached:
+                continue
+            for x, y in itertools.product(range(n), repeat=2):
+                if t[t[x][g]][y] != t[x][t[g][y]]:
+                    raise NotAGroup(f"associativity fails at (i, j, k) = ({x}, {g}, {y})")
+            gens.append(g)
+            frontier = list(reached)
+            while frontier:
+                z = frontier.pop()
+                new = {t[z][h] for h in gens} - reached
+                reached |= new
+                frontier += new
 
     def _mul(self, x: int, y: int) -> int:
         return self.table[x][y]

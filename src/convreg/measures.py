@@ -2,10 +2,10 @@
 
 A measure is a formal convex combination of point masses with exact rational
 weights: atoms are ``(element, Fraction)`` pairs, every weight is strictly
-positive, and the weights sum to one.  Atoms are merged and sorted in the
-backend's canonical order at construction.  Equality is structural for the
-table and permutation backends; for the word backend it matches atoms
-semantically, since distinct reduced words can denote the same element.
+positive, and the weights sum to one.  Atoms are merged by element equality
+(keeping the canonically least spelling, which matters on the word backend)
+and sorted in the backend's canonical order at construction.  Two measures
+are equal when they put the same weight on the same elements.
 
 Convolution multiplies supports pointwise and weights multiplicatively:
 ``(mu * nu)({x}) = sum of mu({g}) nu({h}) over g h = x``.
@@ -14,7 +14,7 @@ Convolution multiplies supports pointwise and weights multiplicatively:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import BackendMismatch, ParseError
 from .groups import Group, GroupElement, content_lines
@@ -35,27 +35,19 @@ __all__ = [
 
 
 def _merge_atoms(
-    group: Group, pairs: Iterable[tuple[GroupElement, Fraction]]
+    pairs: Iterable[tuple[GroupElement, Fraction]]
 ) -> list[tuple[GroupElement, Fraction]]:
-    """Combine weights of equal elements; keep the canonically least payload."""
-    if group.unique_keys:
-        acc: dict = {}
-        for el, w in pairs:
-            key = el.payload
-            acc[key] = acc.get(key, Fraction(0)) + w
-        merged = [(group.element(key), w) for key, w in acc.items()]
-    else:
-        merged = []
-        for el, w in pairs:
-            for i, (rep, rw) in enumerate(merged):
-                if rep == el:
-                    keep = el if el.sort_key() < rep.sort_key() else rep
-                    merged[i] = (keep, rw + w)
-                    break
-            else:
-                merged.append((el, w))
-    merged.sort(key=lambda item: item[0].sort_key())
-    return merged
+    """Combine weights of equal elements; keep the canonically least spelling."""
+    acc: dict[GroupElement, list] = {}
+    for el, w in pairs:
+        slot = acc.get(el)
+        if slot is None:
+            acc[el] = [el, w]
+        else:
+            if el.sort_key() < slot[0].sort_key():
+                slot[0] = el
+            slot[1] += w
+    return sorted(((el, w) for el, w in acc.values()), key=lambda item: item[0].sort_key())
 
 
 class Measure:
@@ -72,7 +64,7 @@ class Measure:
             if w <= 0:
                 raise ValueError(f"weights must be positive, got {w}")
             checked.append((el, w))
-        merged = _merge_atoms(group, checked)
+        merged = _merge_atoms(checked)
         total = sum((w for _, w in merged), Fraction(0))
         if total != 1:
             raise ValueError(f"weights must sum to 1, got {total}")
@@ -84,27 +76,12 @@ class Measure:
 
     def weight_of(self, el: GroupElement) -> Fraction:
         """Weight at a single element (zero off the support)."""
-        if self.group.unique_keys:
-            for atom, w in self.atoms:
-                if atom.payload == el.payload:
-                    return w
-            return Fraction(0)
-        for atom, w in self.atoms:
-            if atom == el:
-                return w
-        return Fraction(0)
+        return dict(self.atoms).get(el, Fraction(0))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Measure):
             return NotImplemented
-        if self.group is not other.group or len(self.atoms) != len(other.atoms):
-            return False
-        if self.group.unique_keys:
-            return all(
-                a.payload == b.payload and wa == wb
-                for (a, wa), (b, wb) in zip(self.atoms, other.atoms)
-            )
-        return all(other.weight_of(el) == w for el, w in self.atoms)
+        return self.group is other.group and dict(self.atoms) == dict(other.atoms)
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -129,12 +106,9 @@ def convolve(mu: Measure, nu: Measure) -> Measure:
 
 def uniform_on(group: Group, elements: Iterable[GroupElement]) -> Measure:
     """Uniform measure on ``{e} ∪ elements`` (the identity is always included)."""
-    pool = [group.identity()]
-    for el in elements:
-        if el.group is not group:
-            raise BackendMismatch("element belongs to a different group")
-        if all(el != seen for seen in pool):
-            pool.append(el)
+    pool = dict.fromkeys([group.identity(), *elements])
+    if any(el.group is not group for el in pool):
+        raise BackendMismatch("element belongs to a different group")
     w = Fraction(1, len(pool))
     return Measure(group, [(el, w) for el in pool])
 
@@ -153,11 +127,8 @@ def support(mu: Measure) -> tuple[GroupElement, ...]:
 
 def is_support_closed(mu: Measure) -> bool:
     """Whether the support is closed under multiplication."""
-    elems = support(mu)
-    if mu.group.unique_keys:
-        keys = {el.payload for el in elems}
-        return all((g * h).payload in keys for g in elems for h in elems)
-    return all(any((g * h) == s for s in elems) for g in elems for h in elems)
+    keys = set(support(mu))
+    return all(g * h in keys for g in keys for h in keys)
 
 
 # ---------------------------------------------------------------------------

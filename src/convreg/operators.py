@@ -57,22 +57,6 @@ class SupportTable:
         """The permutation ``k -> index(g_j g_k)`` (row ``j``)."""
         return self.mult[j]
 
-    def right_perm(self, j: int) -> tuple[int, ...]:
-        """The permutation ``k -> index(g_k g_j)`` (column ``j``)."""
-        return tuple(self.mult[k][j] for k in range(self.size))
-
-    def index_of(self, el: GroupElement) -> int | None:
-        group = self.elements[0].group
-        if group.unique_keys:
-            for i, known in enumerate(self.elements):
-                if known.payload == el.payload:
-                    return i
-            return None
-        for i, known in enumerate(self.elements):
-            if known == el:
-                return i
-        return None
-
 
 def build_support_table(elements: Sequence[GroupElement]) -> SupportTable:
     """Index the multiplication of a closed support containing the identity.
@@ -84,19 +68,18 @@ def build_support_table(elements: Sequence[GroupElement]) -> SupportTable:
     elems = list(elements)
     if not elems:
         raise IdentityMissing("empty support")
-    group = elems[0].group
-    e = group.identity()
-    pos = next((i for i, el in enumerate(elems) if el == e), None)
-    if pos is None:
+    e = elems[0].group.identity()
+    if e not in elems:
         raise IdentityMissing("support does not contain the identity")
-    if pos != 0:
-        elems.insert(0, elems.pop(pos))
-    table = SupportTable(tuple(elems), (), ())
+    elems.insert(0, elems.pop(elems.index(e)))
+    index: dict[GroupElement, int] = {}
+    for i, el in enumerate(elems):
+        index.setdefault(el, i)
     mult = []
     for j, gj in enumerate(elems):
         row = []
         for k, gk in enumerate(elems):
-            idx = table.index_of(gj * gk)
+            idx = index.get(gj * gk)
             if idx is None:
                 raise NotClosed(
                     f"product of atoms {j} and {k} ({gj} * {gk} = {gj * gk}) "

@@ -110,7 +110,8 @@ class RegularitySystem:
 def build_regularity_system(mu: Measure) -> RegularitySystem:
     """Index ``mu``'s closed support and assemble ``(R L) beta = alpha``."""
     table = build_support_table(support(mu))
-    alpha = tuple(mu.weight_of(el) for el in table.elements)
+    weights = dict(mu.atoms)
+    alpha = tuple(weights[el] for el in table.elements)
     left = left_operator(alpha, table)
     right = right_operator(alpha, table)
     return RegularitySystem(table, alpha, left, right, mat_mul(right.matrix, left.matrix))
@@ -179,13 +180,11 @@ class Verdict:
 
 
 def _closure_witness(mu: Measure) -> str:
+    """Name the first product of atoms that escapes a support known to be open."""
     elems = support(mu)
-    for g in elems:
-        for h in elems:
-            prod = g * h
-            if all(prod != s for s in elems):
-                return f"{g} * {h} = {prod} escapes the support"
-    return "support is closed"  # pragma: no cover - callers check first
+    keys = set(elems)
+    g, h = next((g, h) for g in elems for h in elems if g * h not in keys)
+    return f"{g} * {h} = {g * h} escapes the support"
 
 
 def _infeasibility_detail(mu: Measure, normalized: Measure) -> str:
@@ -261,8 +260,7 @@ def decide_regular(mu: Measure) -> Verdict:
         "mp_right": True,  # mp * mu * mp == mp
     }
     if trivial:
-        same_support = support(mp) == support(mu)
-        if not same_support:
+        if set(support(mp)) != set(support(mu)):
             raise CertificateInvalid("Moore-Penrose support differs from the subject's")
         checks["mp_support_equals_subject_support"] = True
     cert = Certificate(

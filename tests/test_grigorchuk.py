@@ -8,11 +8,20 @@ rewriting involved, so it cannot share bugs with the rewriting engine.
 """
 
 import random
+import sys
+import threading
 
 import pytest
 
 from convreg import GrigorchukGroup, OrderBudgetExceeded, ParseError
-from convreg.grigorchuk import is_identity_word, reduce_word, word_order, word_sections
+import convreg.grigorchuk as grigorchuk
+from convreg.grigorchuk import (
+    is_identity_word,
+    reduce_word,
+    word_fingerprint,
+    word_order,
+    word_sections,
+)
 
 LETTERS = "abcd"
 
@@ -267,3 +276,84 @@ def test_backend_random_associativity():
     for _ in range(60):
         x, y, z = (g.element(reduce_word(_random_word(rng, 6))) for _ in range(3))
         assert (x * y) * z == x * (y * z)
+
+
+def test_backend_product_matches_full_reduction():
+    g = GrigorchukGroup()
+    rng = random.Random(6021)
+    for _ in range(500):
+        x, y = (reduce_word(_random_word(rng, 14)) for _ in range(2))
+        assert g._mul(x, y) == reduce_word(x + y)
+
+
+# ---------------------------------------------------------------------------
+# Fingerprints (element hashes)
+
+IDENTITY_WORDS = ("adadadad", "ac" * 8, "ab" * 16)
+
+
+def _dihedral_words(letter: str, m: int) -> list:
+    """The 2m elements (a x)^k and (a x)^k a of <a, x>, with a x of order m."""
+    rotations = [reduce_word(("a" + letter) * k) for k in range(m)]
+    return rotations + [reduce_word(r + "a") for r in rotations]
+
+
+def test_respelled_words_keep_their_fingerprint():
+    g = GrigorchukGroup()
+    rng = random.Random(8128)
+    points = _level_points(6)
+    for _ in range(60):
+        word = reduce_word("".join(rng.choice("ab") for _ in range(rng.randrange(20))))
+        for identity_word in IDENTITY_WORDS:
+            respelled = reduce_word(identity_word + word)
+            assert respelled != word
+            # The oracle confirms that both spellings act alike.
+            assert all(_act_word(respelled, p) == _act_word(word, p) for p in points)
+            assert word_fingerprint(respelled) == word_fingerprint(word)
+            assert hash(g.element(respelled)) == hash(g.element(word))
+            assert g.element(respelled) == g.element(word)
+
+
+def test_fingerprints_separate_the_dihedral_subgroups():
+    for letter, m in (("d", 4), ("c", 8), ("b", 16)):
+        words = _dihedral_words(letter, m)
+        # Distinct elements by the oracle: distinct actions on level 8.
+        actions = {tuple(_act_word(w, p) for p in _level_points(8)) for w in words}
+        assert len(actions) == 2 * m
+        assert len({word_fingerprint(w) for w in words}) == 2 * m
+
+
+def test_fingerprint_cache_stays_bounded(monkeypatch):
+    rng = random.Random(31)
+    words = [reduce_word(_random_word(rng, 24)) for _ in range(300)]
+    expected = [word_fingerprint(w) for w in words]
+    caches = tuple({} for _ in grigorchuk._fingerprints)
+    monkeypatch.setattr(grigorchuk, "_FINGERPRINT_LIMIT", 5)
+    monkeypatch.setattr(grigorchuk, "_fingerprints", caches)
+    for _ in range(2):
+        assert [word_fingerprint(w) for w in words] == expected
+        assert all(len(cache) <= 5 for cache in caches)
+
+
+def test_fingerprint_cache_under_threads(monkeypatch):
+    # More threads than cores share a tiny cache that keeps being cleared;
+    # every thread must still see the single-threaded fingerprints.
+    rng = random.Random(2718)
+    words = [reduce_word(_random_word(rng, 24)) for _ in range(200)]
+    expected = [word_fingerprint(w) for w in words]
+    monkeypatch.setattr(grigorchuk, "_FINGERPRINT_LIMIT", 3)
+    monkeypatch.setattr(grigorchuk, "_fingerprints", tuple({} for _ in grigorchuk._fingerprints))
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=lambda: results.append(
+            [word_fingerprint(w) for w in words])) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 8

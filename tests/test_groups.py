@@ -79,6 +79,28 @@ def test_cayley_rejects_non_associative_table():
         load_cayley(text)
 
 
+def test_cayley_rejects_z128_with_one_intercalate_swap():
+    # Z128 with the 2x2 subsquare at rows 1, 65 and columns 3, 67 swapped:
+    # still a Latin square with identity 0, but (1*1)*2 = 4 while
+    # 1*(1*2) = 68.  Only three in a thousand triples fail, so a sampled
+    # associativity check can miss it; Light's test cannot.
+    n = 128
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    for i in (1, 65):
+        table[i][3], table[i][67] = table[i][67], table[i][3]
+    with pytest.raises(NotAGroup, match="associativity"):
+        CayleyGroup(table)
+
+
+def test_cayley_accepts_large_group_tables():
+    n = 128
+    CayleyGroup([[(i + j) % n for j in range(n)] for i in range(n)])
+    s4 = load_perm("perm 4\n(0 1)\n(0 1 2 3)\n")
+    elems = enumerate_group(s4)
+    index = {el: i for i, el in enumerate(elems)}
+    CayleyGroup([[index[x * y] for y in elems] for x in elems])
+
+
 def test_cayley_parse_element_bounds():
     g = z4()
     assert g.parse_element("2") == g.element(2)
@@ -160,6 +182,21 @@ def test_elements_of_distinct_group_objects_do_not_mix():
     g1, g2 = z4(), z4()
     with pytest.raises(BackendMismatch):
         multiply(g1.element(1), g2.element(1))
+
+
+def test_element_hashes_do_not_depend_on_the_group_object():
+    # Hashes repeat from run to run; elements of different group objects
+    # share them but stay unequal.
+    g1, g2 = z4(), z4()
+    assert hash(g1.element(3)) == hash(g2.element(3))
+    assert g1.element(3) != g2.element(3)
+    p1, p2 = PermGroup(3), PermGroup(3)
+    assert hash(p1.parse_element("(0 1)")) == hash(p2.parse_element("(0 1)"))
+    assert p1.parse_element("(0 1)") != p2.parse_element("(0 1)")
+    w1, w2 = GrigorchukGroup(), GrigorchukGroup()
+    assert hash(w1.element("ab")) == hash(w2.element("ab"))
+    assert w1.element("ab") != w2.element("ab")
+    assert len({g1.element(1), g2.element(1)}) == 2
 
 
 def test_order_budget_exceeded():

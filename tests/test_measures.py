@@ -66,6 +66,17 @@ def test_semantic_deduplication_on_word_backend():
     assert mu.weight_of(g.element("d")) == 1
 
 
+def test_word_backend_merge_keeps_least_spelling_and_compares_elements():
+    g = GrigorchukGroup()
+    # adadadadb and b are one element; the merged atom is spelled b.
+    mu = Measure(g, [(g.element("adadadadb"), F(1, 4)), (g.element("a"), F(1, 2)),
+                     (g.element("b"), F(1, 4))])
+    assert [(el.payload, w) for el, w in mu.atoms] == [("a", F(1, 2)), ("b", F(1, 2))]
+    respelled = Measure(g, [(g.element("adadadada"), F(1, 2)), (g.element("adadadadb"), F(1, 2))])
+    assert respelled == mu
+    assert respelled != Measure(g, [(g.element("a"), F(1, 4)), (g.element("b"), F(3, 4))])
+
+
 def test_dirac():
     assert weights(dirac(Z4.element(2))) == [(2, F(1))]
     g = GrigorchukGroup()

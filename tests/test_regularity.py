@@ -260,6 +260,18 @@ def test_word_backend_uniform_pair_is_regular():
     assert convolve(convolve(mu, verdict.certificate.ginverse), mu) == mu
 
 
+def test_word_backend_respelled_support_is_regular():
+    # dadadada is the identity and adadadadb is b, so this is the uniform
+    # measure on the subgroup {e, b}; its Moore-Penrose inverse spells the
+    # atoms canonically, so the supports agree only as sets of elements.
+    g = GrigorchukGroup()
+    mu = Measure(g, [(g.element("dadadada"), F(1, 2)), (g.element("adadadadb"), F(1, 2))])
+    verdict = decide_regular(mu)
+    assert verdict.status == "regular"
+    assert verdict.certificate.checks["mp_support_equals_subject_support"]
+    assert set(support(verdict.certificate.moore_penrose)) == {g.identity(), g.element("b")}
+
+
 def test_word_backend_open_support():
     g = GrigorchukGroup()
     mu = uniform_on(g, [g.element("a"), g.element("b")])
