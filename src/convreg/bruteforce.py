@@ -11,6 +11,14 @@ deterministic order (``q`` ascending, compositions reverse-lexicographic, so
 all mass on the first universe atom comes first).  Vectors whose entries
 share a common factor with ``q`` already appeared at a smaller denominator
 and are skipped.
+
+Each candidate is tested in scaled integers, which is exact.  Let ``D`` be
+the least common multiple of ``mu``'s weight denominators, so ``a = D mu``
+has integer weights, and write the candidate as ``nu = k / q``.  Convolution
+is bilinear, so ``(q D^2) (mu * nu * mu) = a * k * a``, and
+``mu * nu * mu = mu`` holds exactly when the integer convolution
+``a * k * a`` equals ``q D a`` element by element.  Only the returned hit is
+built as a :class:`~convreg.measures.Measure`.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from typing import Iterator, Sequence
 
 from .errors import BackendMismatch, UniverseTooLarge
 from .groups import GroupElement
-from .measures import Measure, convolve, support
+from .measures import Measure, support
 
 __all__ = [
     "DEFAULT_MAX_ATOMS",
@@ -42,6 +50,18 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for first in range(total, -1, -1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def _int_convolve(
+    f: Sequence[tuple[GroupElement, int]], g: Sequence[tuple[GroupElement, int]]
+) -> dict[GroupElement, int]:
+    """Convolution of two integer-weighted atom lists, as element -> weight."""
+    acc: dict[GroupElement, int] = {}
+    for x, a in f:
+        for y, b in g:
+            z = x * y
+            acc[z] = acc.get(z, 0) + a * b
+    return acc
 
 
 def candidate_universe(mu: Measure) -> tuple[GroupElement, ...]:
@@ -87,14 +107,14 @@ def brute_force_ginverse(
         raise UniverseTooLarge(
             f"grid holds {total} candidate vectors, budget is {max_candidates}"
         )
+    scale = math.lcm(*(w.denominator for _, w in mu.atoms))
+    scaled = [(el, w.numerator * (scale // w.denominator)) for el, w in mu.atoms]
     for q in range(1, max_denominator + 1):
+        target = {el: q * scale * a for el, a in scaled}
         for parts in _compositions(q, m):
             if math.gcd(q, *parts) > 1:
                 continue  # already tested with a smaller denominator
-            nu = Measure(
-                mu.group,
-                [(universe[i], Fraction(k, q)) for i, k in enumerate(parts) if k > 0],
-            )
-            if convolve(convolve(mu, nu), mu) == mu:
-                return nu
+            k = [(universe[i], c) for i, c in enumerate(parts) if c > 0]
+            if _int_convolve(_int_convolve(scaled, k).items(), scaled) == target:
+                return Measure(mu.group, [(el, Fraction(c, q)) for el, c in k])
     return None

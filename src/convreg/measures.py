@@ -8,7 +8,13 @@ and sorted in the backend's canonical order at construction.  Two measures
 are equal when they put the same weight on the same elements.
 
 Convolution multiplies supports pointwise and weights multiplicatively:
-``(mu * nu)({x}) = sum of mu({g}) nu({h}) over g h = x``.
+``(mu * nu)({x}) = sum of mu({g}) nu({h}) over g h = x``.  :func:`convolve`
+accumulates those products straight into a dict and builds its result
+without re-running the constructor's checks, because convolution already
+guarantees them: both operands are on the same group, a product of positive
+weights is positive, the totals multiply to ``1 * 1 = 1``, and the dict
+merges equal elements (keeping the least spelling, as the constructor does).
+The public constructor keeps every check.
 """
 
 from __future__ import annotations
@@ -71,6 +77,14 @@ class Measure:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "atoms", tuple(merged))
 
+    @classmethod
+    def _trusted(cls, group: Group, atoms: list[tuple[GroupElement, Fraction]]) -> "Measure":
+        """Wrap merged, sorted, positive atoms summing to one, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "atoms", tuple(atoms))
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("Measure is immutable")
 
@@ -100,8 +114,8 @@ def convolve(mu: Measure, nu: Measure) -> Measure:
     """Convolution product of two measures on the same group."""
     if mu.group is not nu.group:
         raise BackendMismatch("cannot convolve measures on different groups")
-    pairs = [(g * h, wg * wh) for g, wg in mu.atoms for h, wh in nu.atoms]
-    return Measure(mu.group, pairs)
+    pairs = ((g * h, wg * wh) for g, wg in mu.atoms for h, wh in nu.atoms)
+    return Measure._trusted(mu.group, _merge_atoms(pairs))
 
 
 def uniform_on(group: Group, elements: Iterable[GroupElement]) -> Measure:

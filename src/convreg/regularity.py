@@ -34,8 +34,8 @@ The decision procedure:
    is not regular;
 3. otherwise the measure is regular exactly when its weights are all equal;
 4. the certificate ``dirac(x^{-1})`` is re-validated by direct convolution,
-   on the normalized and on the original measure, before it is issued
-   together with the verified Moore-Penrose inverse.
+   on the normalized and (when the two differ) on the original measure,
+   before it is issued together with the verified Moore-Penrose inverse.
 
 A closed support with unequal weights gets a diagnostic ``detail``: on at
 most ``SYSTEM_DIAGNOSTIC_MAX_ATOMS`` atoms the exact solution of the equality
@@ -248,9 +248,10 @@ def decide_regular(mu: Measure) -> Verdict:
         )
     if convolve(convolve(normalized, dirac(e)), normalized) != normalized:
         raise CertificateInvalid("normalized measure failed the closed-form re-validation")
-    # When x is the identity, its own spelling is kept (word backend).
+    # When x is the identity, its own spelling is kept (word backend); then
+    # normalized is mu and ginverse equals dirac(e), so the check above is this one.
     ginverse = dirac(x if trivial else xinv)
-    if not is_generalized_inverse(mu, ginverse):
+    if not trivial and not is_generalized_inverse(mu, ginverse):
         raise CertificateInvalid("de-normalized inverse failed re-validation")
     mp = moore_penrose(mu, ginverse)
     checks = {

@@ -1,14 +1,18 @@
 """Grid-search oracle for generalized inverses."""
 
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from convreg import (
+    GrigorchukGroup,
     Measure,
     UniverseTooLarge,
     brute_force_ginverse,
+    builtin_group,
     candidate_universe,
     closure,
     convolve,
@@ -99,3 +103,80 @@ def test_budgets_are_enforced():
         brute_force_ginverse(mu, 50, enumerate_group(Z4), max_candidates=100)
     with pytest.raises(ValueError):
         brute_force_ginverse(mu, 0, enumerate_group(Z4))
+
+
+# ---------------------------------------------------------------------------
+# The integer-scaled oracle against a Fraction reference
+
+
+def reference_ginverse(mu, max_denominator, support_universe):
+    """The oracle as a plain Fraction loop: build each candidate as a checked
+    Measure and convolve through the checked constructor."""
+
+    def conv(x, y):
+        return Measure(x.group, [(g * h, wg * wh) for g, wg in x.atoms for h, wh in y.atoms])
+
+    universe = list(dict.fromkeys(support_universe))
+    for q in range(1, max_denominator + 1):
+        for parts in _compositions(q, len(universe)):
+            if math.gcd(q, *parts) > 1:
+                continue
+            nu = Measure(mu.group, [(universe[i], F(k, q)) for i, k in enumerate(parts) if k > 0])
+            if conv(conv(mu, nu), mu) == mu:
+                return nu
+    return None
+
+
+def sweep_measures():
+    """Every measure on Z2, Z3, Z4 and S3 with at most 3 atoms and weight
+    denominators at most 6 (the criterion-2 sweep)."""
+    values = sorted({F(k, d) for d in range(1, 7) for k in range(1, d + 1)})
+    for name in ("Z2", "Z3", "Z4", "S3"):
+        group = builtin_group(name)
+        elems = enumerate_group(group)
+        for size in (1, 2, 3):
+            vectors = [
+                (*head, 1 - sum(head))
+                for head in itertools.product(values, repeat=size - 1)
+                if 1 - sum(head) in values
+            ]
+            for subset in itertools.combinations(elems, size):
+                for weights in vectors:
+                    yield Measure(group, list(zip(subset, weights)))
+
+
+def assert_same_first_hit(mu, max_denominator):
+    universe = candidate_universe(mu)
+    hit = brute_force_ginverse(mu, max_denominator, universe)
+    expected = reference_ginverse(mu, max_denominator, universe)
+    if expected is None:
+        assert hit is None
+    else:
+        assert hit == expected
+        assert [(str(el), w) for el, w in hit.atoms] == [(str(el), w) for el, w in expected.atoms]
+
+
+def test_scaled_oracle_matches_reference_on_the_sweep():
+    measures = list(sweep_measures())
+    assert len(measures) == 765
+    for mu in measures:
+        assert_same_first_hit(mu, 4)
+
+
+def test_scaled_oracle_matches_reference_on_respelled_words():
+    g = GrigorchukGroup()
+    # On <a,d>, adadadad and dadadada are the identity, so adadadada = a,
+    # adadadadd = d and adadadadad = ad.
+    cases = [
+        [("dadadada", F(1, 2)), ("adadadada", F(1, 2))],
+        [("adadadada", F(1, 2)), ("adadadadad", F(1, 2))],
+        [("dadadada", F(3, 4)), ("adadadadd", F(1, 4))],
+        [("adadadad", F(1, 3)), ("adadadadd", F(1, 3)), ("a", F(1, 3))],
+        [("dadadada", F(1, 4)), ("adadadadad", F(1, 4)), ("adad", F(1, 4)), ("adadad", F(1, 4))],
+    ]
+    hits = 0
+    for atoms in cases:
+        mu = Measure(g, [(g.element(w), wt) for w, wt in atoms])
+        assert_same_first_hit(mu, 4)
+        hits += brute_force_ginverse(mu, 4, candidate_universe(mu)) is not None
+    assert hits == 3

@@ -136,6 +136,57 @@ def test_support_product_law_and_mass():
         assert sum(w for _, w in prod.atoms) == 1
 
 
+def checked_convolve(mu, nu):
+    """Convolution through the public, fully checking constructor."""
+    return Measure(mu.group, [(g * h, wg * wh) for g, wg in mu.atoms for h, wh in nu.atoms])
+
+
+def spelled(mu):
+    return [(str(el), w) for el, w in mu.atoms]
+
+
+def test_convolve_core_matches_checked_constructor_on_every_backend():
+    rng = random.Random(12)
+    grig = GrigorchukGroup()
+    # <a,d> with respelled atoms: adadadad is the identity, so adadadada = a.
+    words = ["", "a", "d", "ad", "da", "ada", "dad", "adad",
+             "adadadada", "adadadadd", "dadadada", "adadadadad"]
+    s3 = PermGroup(3, [(1, 0, 2), (1, 2, 0)])
+    pools = [
+        (Z4, list(Z4.enumerate_elements(10))),
+        (s3, list(s3.enumerate_elements(10))),
+        (grig, [grig.element(w) for w in words]),
+    ]
+    for group, elems in pools:
+        for _ in range(40):
+            mu, nu = (random_measure(rng, group, elems, max_support=4) for _ in range(2))
+            prod = convolve(mu, nu)
+            reference = checked_convolve(mu, nu)
+            assert prod == reference
+            assert spelled(prod) == spelled(reference)
+
+
+def test_convolve_core_keeps_least_spelling():
+    g = GrigorchukGroup()
+    mu = uniform_on(g, [g.element("a")])
+    nu = Measure(g, [(g.element("a"), F(1, 2)), (g.element("dadadada"), F(1, 2))])
+    # e arises as e*dadadada first and as a*a second; a as e*a and a*dadadada.
+    assert spelled(convolve(mu, nu)) == [("e", F(1, 2)), ("a", F(1, 2))]
+
+
+def test_convolve_result_is_immutable_and_checks_groups():
+    mu = convolve(uniform_on(Z4, [Z4.element(1)]), dirac(Z4.element(2)))
+    with pytest.raises(AttributeError):
+        mu.atoms = ()
+    with pytest.raises(AttributeError):
+        mu.group = Z2
+    g = GrigorchukGroup()
+    with pytest.raises(BackendMismatch):
+        convolve(mu, dirac(g.element("a")))
+    with pytest.raises(BackendMismatch):
+        convolve(dirac(g.identity()), mu)
+
+
 # ---------------------------------------------------------------------------
 # uniform_on / translate
 
