@@ -42,22 +42,12 @@ from .groups import (
     PermGroup,
     closure,
     enumerate_group,
-    identity,
-    inverse,
     load_cayley,
     load_group,
     load_perm,
     multiply,
-    order,
 )
-from .linalg import (
-    RationalMatrix,
-    approx_stochastic_nnls,
-    gaussian_solve,
-    identity_matrix,
-    mat_mul,
-    mat_vec,
-)
+from .linalg import RationalMatrix, gaussian_solve, mat_mul, mat_vec
 from .measures import (
     Measure,
     convolve,
@@ -82,9 +72,7 @@ from .regularity import (
     Certificate,
     ProbeCase,
     ProbeReport,
-    RegularitySystem,
     Verdict,
-    build_regularity_system,
     decide_regular,
     decide_translated,
     is_generalized_inverse,
@@ -103,9 +91,6 @@ __all__ = [
     "PermGroup",
     "GrigorchukGroup",
     "multiply",
-    "inverse",
-    "identity",
-    "order",
     "closure",
     "enumerate_group",
     "load_cayley",
@@ -138,14 +123,10 @@ __all__ = [
     "right_operator",
     # linear algebra
     "RationalMatrix",
-    "identity_matrix",
     "mat_mul",
     "mat_vec",
     "gaussian_solve",
-    "approx_stochastic_nnls",
     # regularity engine
-    "RegularitySystem",
-    "build_regularity_system",
     "is_generalized_inverse",
     "moore_penrose",
     "Certificate",

@@ -31,9 +31,8 @@ from .groups import (
     closure,
     load_group,
 )
-from .linalg import approx_stochastic_nnls
 from .measures import Measure, format_weight, load_measure, uniform_on
-from .regularity import Verdict, build_regularity_system, decide_regular, probe_uniform_subsets
+from .regularity import Verdict, decide_regular, probe_uniform_subsets
 
 __all__ = ["main"]
 
@@ -83,47 +82,11 @@ def _print_verdict(verdict: Verdict) -> None:
         print(f"detail: {verdict.detail}")
 
 
-def _float_explorer(mu: Measure) -> dict | None:
-    """Approximate NNLS beta for the normalized system, or None if unusable."""
-    from .measures import convolve, dirac, is_support_closed
-
-    x = mu.atoms[0][0]
-    normalized = mu if x == mu.group.identity() else convolve(dirac(x.inverse()), mu)
-    if not is_support_closed(normalized):
-        return None
-    system = build_regularity_system(normalized)
-    beta, residual = approx_stochastic_nnls(system.matrix, system.alpha)
-    return {
-        "beta": beta,
-        "residual": residual,
-        "atoms": [str(el) for el in system.table.elements],
-        "authoritative": False,
-    }
-
-
-def _print_float_explorer(info: dict | None) -> None:
-    tag = "[float, non-authoritative]"
-    if info is None:
-        print(f"{tag} skipped: normalized support is not closed")
-        return
-    pairs = "  ".join(
-        f"{atom}~{value:.6g}" for atom, value in zip(info["atoms"], info["beta"])
-    )
-    print(f"{tag} approximate nnls weights: {pairs}")
-    print(f"{tag} residual: {info['residual']:.3e}")
-
-
 def _verdict_command(verdict: Verdict, args: argparse.Namespace) -> int:
-    float_info = _float_explorer(verdict.subject) if args.float_explorer else None
     if args.json:
-        payload = verdict.to_json_dict()
-        if args.float_explorer:
-            payload["float_explorer"] = float_info
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(verdict.to_json_dict(), indent=2))
     else:
         _print_verdict(verdict)
-        if args.float_explorer:
-            _print_float_explorer(float_info)
     return EXIT_OK if verdict.status == "regular" else EXIT_NOT_REGULAR
 
 
@@ -228,20 +191,13 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p: _Parser, *, verdict: bool = False) -> None:
+    def common(p: _Parser) -> None:
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        if verdict:
-            p.add_argument(
-                "--float",
-                dest="float_explorer",
-                action="store_true",
-                help="also run the approximate NNLS explorer (non-authoritative)",
-            )
 
     p = sub.add_parser("check", help="decide regularity of a measure file")
     p.add_argument("group", help="group file")
     p.add_argument("measure", help="measure file")
-    common(p, verdict=True)
+    common(p)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("ginverse", help="grid-search a generalized inverse")
@@ -260,7 +216,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("uniform", help="decide the uniform measure on {e} plus arguments")
     p.add_argument("group", help="group file")
     p.add_argument("elements", nargs="+", metavar="element")
-    common(p, verdict=True)
+    common(p)
     p.set_defaults(func=_cmd_uniform)
 
     p = sub.add_parser("closure", help="enumerate the subgroup generated by elements")
@@ -319,13 +275,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConvregError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except RuntimeError as exc:
+    except (ConvregError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

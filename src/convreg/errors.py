@@ -70,7 +70,7 @@ class ClosureBudgetExceeded(ConvregError):
 
 
 class CapExceeded(ConvregError):
-    """Group enumeration is impossible within the configured cap (or at all)."""
+    """Group enumeration or a subset survey exceeds its budget (or is impossible)."""
 
 
 class UniverseTooLarge(ConvregError):

@@ -42,9 +42,6 @@ __all__ = [
     "CayleyGroup",
     "PermGroup",
     "multiply",
-    "inverse",
-    "identity",
-    "order",
     "closure",
     "enumerate_group",
     "load_cayley",
@@ -170,21 +167,6 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     """Group product ``a * b``."""
     _require_same_group(a, b)
     return a.group.element(a.group._mul(a.payload, b.payload))
-
-
-def inverse(a: GroupElement) -> GroupElement:
-    """Group inverse."""
-    return a.inverse()
-
-
-def identity(group: Group) -> GroupElement:
-    """Identity element of the given group."""
-    return group.identity()
-
-
-def order(a: GroupElement, cap: int = DEFAULT_ORDER_CAP) -> int:
-    """Smallest ``k >= 1`` with ``a**k = e``; OrderBudgetExceeded past ``cap``."""
-    return a.order(cap)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Everything here works on ``fractions.Fraction`` entries — no floating point —
-so solutions are exact and deterministic.  The one floating-point routine,
-:func:`approx_stochastic_nnls`, is an explicitly approximate explorer that is
-never consulted for verdicts.
+so solutions are exact and deterministic.  No verdict depends on this module:
+the regularity engine uses it only for the exact equality-system diagnostic of
+a small closed support with unequal weights.
 """
 
 from __future__ import annotations
@@ -16,11 +16,9 @@ from .errors import DimensionMismatch
 
 __all__ = [
     "RationalMatrix",
-    "identity_matrix",
     "mat_mul",
     "mat_vec",
     "gaussian_solve",
-    "approx_stochastic_nnls",
 ]
 
 
@@ -49,20 +47,11 @@ class RationalMatrix:
     def cols(self) -> int:
         return len(self.entries[0])
 
-    def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
-
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i]
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.entries)
-
-
-def identity_matrix(n: int) -> RationalMatrix:
-    return RationalMatrix.from_rows(
-        [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    )
 
 
 def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -120,27 +109,3 @@ def gaussian_solve(
     for i, col in enumerate(pivot_cols):
         x[col] = aug[i][n]
     return ("unique" if len(pivot_cols) == n else "many"), x
-
-
-def approx_stochastic_nnls(m: RationalMatrix, alpha: Sequence[Fraction]) -> tuple[list[float], float]:
-    """Floating-point nonnegative least squares for the same system.
-
-    Requires scipy.  Returns ``(beta, residual)`` where ``residual`` is the
-    Euclidean error on the stacked system including the convexity row.  This
-    is an exploration aid only: approximate, and never used for verdicts.
-    """
-    try:
-        from scipy.optimize import nnls
-    except ImportError as exc:  # pragma: no cover - environment dependent
-        raise RuntimeError(
-            "the approximate explorer needs scipy (pip install convreg[float])"
-        ) from exc
-    import numpy as np
-
-    n = m.rows
-    a = np.array(
-        [[float(m.at(i, j)) for j in range(n)] for i in range(n)] + [[1.0] * n]
-    )
-    b = np.array([float(v) for v in alpha] + [1.0])
-    beta, residual = nnls(a, b)
-    return [float(v) for v in beta], float(residual)

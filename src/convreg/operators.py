@@ -53,10 +53,6 @@ class SupportTable:
     def size(self) -> int:
         return len(self.elements)
 
-    def left_perm(self, j: int) -> tuple[int, ...]:
-        """The permutation ``k -> index(g_j g_k)`` (row ``j``)."""
-        return self.mult[j]
-
 
 def build_support_table(elements: Sequence[GroupElement]) -> SupportTable:
     """Index the multiplication of a closed support containing the identity.
@@ -102,10 +98,6 @@ class OperatorMatrix:
 
     matrix: RationalMatrix
     side: str  # "left" or "right"
-
-    @property
-    def size(self) -> int:
-        return self.matrix.rows
 
 
 def _check_alpha(alpha: Sequence[Fraction], table: SupportTable) -> list[Fraction]:

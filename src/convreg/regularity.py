@@ -34,14 +34,16 @@ The decision procedure:
    is not regular;
 3. otherwise the measure is regular exactly when its weights are all equal;
 4. the certificate ``dirac(x^{-1})`` is re-validated by direct convolution,
-   on the normalized and (when the two differ) on the original measure,
-   before it is issued together with the verified Moore-Penrose inverse.
+   on the normalized measure when it differs from the original and, inside
+   :func:`moore_penrose`, on the original, before it is issued together with
+   the verified Moore-Penrose inverse.
 
 A closed support with unequal weights gets a diagnostic ``detail``: on at
 most ``SYSTEM_DIAGNOSTIC_MAX_ATOMS`` atoms the exact solution of the equality
-system ``(R L) beta = alpha``, ``sum(beta) = 1`` over the normalized support
-(see :func:`build_regularity_system`), and in every case one pair of atoms
-whose weights differ.
+system ``(R L) beta = alpha``, ``sum(beta) = 1`` over the normalized support,
+where ``L`` and ``R`` are the one-sided convolution operators of
+:mod:`convreg.operators`, and in every case one pair of atoms whose weights
+differ.
 
 Verdicts either carry a fully validated :class:`Certificate` or a reason
 (`support-not-closed` / `system-infeasible`) with exact diagnostics.
@@ -50,16 +52,18 @@ Verdicts either carry a fully validated :class:`Certificate` or a reason
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CertificateInvalid, ConvregError, MPVerificationFailed, NotAGInverse
-from .groups import (
-    DEFAULT_CLOSURE_CAP,
-    Group,
-    GroupElement,
-    enumerate_group,
+from .errors import (
+    CapExceeded,
+    CertificateInvalid,
+    ConvregError,
+    MPVerificationFailed,
+    NotAGInverse,
 )
+from .groups import DEFAULT_CLOSURE_CAP, Group, GroupElement, enumerate_group
 from .linalg import RationalMatrix, gaussian_solve, mat_mul
 from .measures import (
     Measure,
@@ -71,11 +75,9 @@ from .measures import (
     translate,
     uniform_on,
 )
-from .operators import OperatorMatrix, SupportTable, build_support_table, left_operator, right_operator
+from .operators import build_support_table, left_operator, right_operator
 
 __all__ = [
-    "RegularitySystem",
-    "build_regularity_system",
     "is_generalized_inverse",
     "moore_penrose",
     "Certificate",
@@ -91,30 +93,8 @@ __all__ = [
 #: equality system; larger ones only name a pair of unequal weights.
 SYSTEM_DIAGNOSTIC_MAX_ATOMS = 8
 
-
-@dataclass(frozen=True)
-class RegularitySystem:
-    """The exact system whose stochastic solutions are inverse weights."""
-
-    table: SupportTable
-    alpha: tuple[Fraction, ...]
-    left: OperatorMatrix
-    right: OperatorMatrix
-    matrix: RationalMatrix  # right.matrix @ left.matrix
-
-    @property
-    def size(self) -> int:
-        return self.table.size
-
-
-def build_regularity_system(mu: Measure) -> RegularitySystem:
-    """Index ``mu``'s closed support and assemble ``(R L) beta = alpha``."""
-    table = build_support_table(support(mu))
-    weights = dict(mu.atoms)
-    alpha = tuple(weights[el] for el in table.elements)
-    left = left_operator(alpha, table)
-    right = right_operator(alpha, table)
-    return RegularitySystem(table, alpha, left, right, mat_mul(right.matrix, left.matrix))
+#: Largest number of subsets :func:`probe_uniform_subsets` decides.
+PROBE_MAX_CASES = 100_000
 
 
 def is_generalized_inverse(mu: Measure, nu: Measure) -> bool:
@@ -197,9 +177,12 @@ def _infeasibility_detail(mu: Measure, normalized: Measure) -> str:
     )
     if len(normalized) > SYSTEM_DIAGNOSTIC_MAX_ATOMS:
         return pair
-    system = build_regularity_system(normalized)
-    stacked = RationalMatrix.from_rows([*system.matrix.entries, [1] * system.size])
-    kind, solution = gaussian_solve(stacked, [*system.alpha, Fraction(1)])
+    table = build_support_table(support(normalized))
+    weights = dict(normalized.atoms)
+    alpha = [weights[el] for el in table.elements]
+    rl = mat_mul(right_operator(alpha, table).matrix, left_operator(alpha, table).matrix)
+    stacked = RationalMatrix.from_rows([*rl.entries, [1] * table.size])
+    kind, solution = gaussian_solve(stacked, [*alpha, Fraction(1)])
     # Q[H] is semisimple (Maschke), so the system is consistent; a nonnegative
     # solution would be a generalized inverse, which the closed form rules out.
     if kind == "none" or min(solution) >= 0:
@@ -246,17 +229,17 @@ def decide_regular(mu: Measure) -> Verdict:
             mu,
             detail=_infeasibility_detail(mu, normalized),
         )
-    if convolve(convolve(normalized, dirac(e)), normalized) != normalized:
+    # When x is the identity, normalized is mu and moore_penrose makes this check.
+    if not trivial and convolve(convolve(normalized, dirac(e)), normalized) != normalized:
         raise CertificateInvalid("normalized measure failed the closed-form re-validation")
-    # When x is the identity, its own spelling is kept (word backend); then
-    # normalized is mu and ginverse equals dirac(e), so the check above is this one.
-    ginverse = dirac(x if trivial else xinv)
-    if not trivial and not is_generalized_inverse(mu, ginverse):
-        raise CertificateInvalid("de-normalized inverse failed re-validation")
-    mp = moore_penrose(mu, ginverse)
+    ginverse = dirac(x if trivial else xinv)  # x keeps its own spelling (word backend)
+    try:
+        mp = moore_penrose(mu, ginverse)
+    except NotAGInverse as exc:
+        raise CertificateInvalid(f"the inverse failed re-validation: {exc}") from exc
     checks = {
         "support_closed": True,
-        "ginverse_identity": True,  # mu * nu * mu == mu, re-verified above
+        "ginverse_identity": True,  # mu * nu * mu == mu, re-verified by moore_penrose
         "mp_left": True,  # mu * mp * mu == mu
         "mp_right": True,  # mp * mu * mp == mp
     }
@@ -360,9 +343,16 @@ def probe_uniform_subsets(
 
     Enumerates the whole group (CapExceeded when that is impossible, e.g. for
     the word backend) and sweeps subsets in deterministic (size, canonical
-    order) sequence.
+    order) sequence.  Raises CapExceeded before deciding anything when there
+    are more than ``PROBE_MAX_CASES`` subsets.
     """
     elements = enumerate_group(group, cap)
+    count = sum(math.comb(len(elements), size) for size in range(max_subset_size + 1))
+    if count > PROBE_MAX_CASES:
+        raise CapExceeded(
+            f"{count} subsets of at most {max_subset_size} of {len(elements)} "
+            f"elements exceed the probe budget of {PROBE_MAX_CASES}"
+        )
     cases = []
     for size in range(0, max_subset_size + 1):
         for combo in itertools.combinations(elements, size):

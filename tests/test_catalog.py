@@ -9,7 +9,6 @@ from convreg import (
     enumerate_group,
     is_abelian,
     load_group,
-    order,
     subgroups_of,
     uniform_on,
     convolve,
@@ -38,10 +37,10 @@ def test_unknown_name_rejected():
 def test_element_orders_q8():
     q8 = builtin_group("Q8")
     # index 0 = 1, 1 = -1, then +/-i, +/-j, +/-k.
-    assert order(q8.element(0)) == 1
-    assert order(q8.element(1)) == 2
+    assert q8.element(0).order() == 1
+    assert q8.element(1).order() == 2
     for idx in range(2, 8):
-        assert order(q8.element(idx)) == 4
+        assert q8.element(idx).order() == 4
 
 
 def test_q8_hamilton_product():
@@ -56,7 +55,7 @@ def test_q8_hamilton_product():
 
 def test_d4_structure():
     d4 = builtin_group("D4")
-    orders = sorted(order(el) for el in enumerate_group(d4))
+    orders = sorted(el.order() for el in enumerate_group(d4))
     assert orders == [1, 2, 2, 2, 2, 2, 4, 4]
 
 

@@ -192,21 +192,3 @@ def test_probe_on_word_group_is_an_error(files, capsys):
     assert code == 1
     assert "error:" in err
 
-
-# ---------------------------------------------------------------------------
-# float explorer
-
-
-def test_float_explorer_is_watermarked(files, capsys):
-    pytest.importorskip("scipy")
-    code, out, _ = run(capsys, "check", files["z2"], files["skewed"], "--float")
-    assert code == 2  # verdict unchanged by the explorer
-    assert "non-authoritative" in out
-
-
-def test_float_explorer_json(files, capsys):
-    pytest.importorskip("scipy")
-    code, out, _ = run(capsys, "check", files["z2"], files["uniform"], "--json", "--float")
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["float_explorer"]["authoritative"] is False

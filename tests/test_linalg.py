@@ -8,7 +8,6 @@ from convreg import (
     DimensionMismatch,
     RationalMatrix,
     gaussian_solve,
-    identity_matrix,
     mat_mul,
     mat_vec,
 )
@@ -24,8 +23,9 @@ def M(rows):
 
 def test_identity_is_neutral():
     m = M([["1/2", "1/3"], ["1/2", "2/3"]])
-    assert mat_mul(identity_matrix(2), m) == m
-    assert mat_mul(m, identity_matrix(2)) == m
+    identity = M([[1, 0], [0, 1]])
+    assert mat_mul(identity, m) == m
+    assert mat_mul(m, identity) == m
 
 
 def test_flat_matrix_squares():
@@ -46,7 +46,7 @@ def test_mat_vec():
 def test_dimension_mismatches():
     m = M([["1/2", "1/2"], ["1/2", "1/2"]])
     with pytest.raises(DimensionMismatch):
-        mat_mul(m, identity_matrix(3))
+        mat_mul(m, M([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     with pytest.raises(DimensionMismatch):
         mat_vec(m, [F(1)])
 

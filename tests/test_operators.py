@@ -10,10 +10,10 @@ from convreg import (
     IdentityMissing,
     Measure,
     NotClosed,
+    RationalMatrix,
     build_support_table,
     convolve,
     enumerate_group,
-    identity_matrix,
     left_operator,
     load_cayley,
     load_perm,
@@ -55,7 +55,7 @@ def test_z4_even_subgroup_table():
     t = table_for(Z4, [0, 2])
     assert [el.payload for el in t.elements] == [0, 2]
     assert t.mult == ((0, 1), (1, 0))
-    assert t.left_perm(1) == (1, 0)
+    assert t.mult[1] == (1, 0)
     assert t.inv_index == (0, 1)
 
 
@@ -68,16 +68,16 @@ def test_left_perms_are_bijections_fixing_identity_row():
     elems = enumerate_group(S3)
     t = build_support_table(elems)
     n = t.size
-    assert t.left_perm(0) == tuple(range(n))
+    assert t.mult[0] == tuple(range(n))
     for j in range(n):
-        assert sorted(t.left_perm(j)) == list(range(n))
+        assert sorted(t.mult[j]) == list(range(n))
     # Right actions compose in the opposite order somewhere on a nonabelian
     # support: some pair of left-translation permutations fails to commute.
     def compose(p, q):
         return tuple(p[q[i]] for i in range(n))
 
     assert any(
-        compose(t.left_perm(j), t.left_perm(k)) != compose(t.left_perm(k), t.left_perm(j))
+        compose(t.mult[j], t.mult[k]) != compose(t.mult[k], t.mult[j])
         for j in range(n)
         for k in range(n)
     )
@@ -122,8 +122,9 @@ def test_left_operator_skewed_two_point():
 def test_point_mass_gives_identity_operator():
     t = table_for(Z4, [0, 1, 2, 3])
     alpha = [F(1), F(0), F(0), F(0)]
-    assert left_operator(alpha, t).matrix == identity_matrix(4)
-    assert right_operator(alpha, t).matrix == identity_matrix(4)
+    identity = RationalMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert left_operator(alpha, t).matrix == identity
+    assert right_operator(alpha, t).matrix == identity
 
 
 def test_left_and_right_differ_on_nonabelian_support():

@@ -7,6 +7,8 @@ import pytest
 
 import convreg.regularity
 from convreg import (
+    CapExceeded,
+    CertificateInvalid,
     GrigorchukGroup,
     Measure,
     NotAGInverse,
@@ -119,10 +121,10 @@ def test_underdetermined_system_names_a_negative_particular_solution():
 
 
 def test_large_skewed_support_names_unequal_weights_without_a_system(monkeypatch):
-    def forbidden(mu):
+    def forbidden(elements):
         raise AssertionError("the equality system was built")
 
-    monkeypatch.setattr(convreg.regularity, "build_regularity_system", forbidden)
+    monkeypatch.setattr(convreg.regularity, "build_support_table", forbidden)
     a4 = load_perm("perm 4\n(0 1 2)\n(1 2 3)\n")
     elems = enumerate_group(a4)
     assert len(elems) == 12 > convreg.regularity.SYSTEM_DIAGNOSTIC_MAX_ATOMS
@@ -171,6 +173,35 @@ def test_shifted_subgroup_uniform_is_regular():
     cert = verdict.certificate
     assert cert.normalization is not None
     assert is_generalized_inverse(mu, cert.ginverse)
+
+
+@pytest.mark.parametrize(
+    "payloads, expected",
+    [
+        # identity first: moore_penrose alone (inverse check, mp, two mp checks)
+        ((0, 2), 8),
+        # translated coset: the normalization and its inverse check come first
+        ((1, 3), 11),
+    ],
+)
+def test_each_certificate_identity_is_convolved_once(monkeypatch, payloads, expected):
+    calls = []
+
+    def counting(mu, nu):
+        calls.append(1)
+        return convolve(mu, nu)
+
+    monkeypatch.setattr(convreg.regularity, "convolve", counting)
+    mu = Measure(Z4, [(Z4.element(p), F(1, 2)) for p in payloads])
+    assert decide_regular(mu).status == "regular"
+    assert len(calls) == expected
+
+
+def test_inverse_failing_revalidation_is_an_invalid_certificate(monkeypatch):
+    # On the subgroup {0, 2} the closed form issues dirac(0); hand out dirac(1).
+    monkeypatch.setattr(convreg.regularity, "dirac", lambda g: dirac(g * Z4.element(1)))
+    with pytest.raises(CertificateInvalid, match="re-validation"):
+        decide_regular(uniform_on(Z4, [Z4.element(2)]))
 
 
 def test_verdict_json_shape():
@@ -311,3 +342,20 @@ def test_survey_klein_four_single_elements():
     v4 = load_cayley("cayley 4\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n")
     report = probe_uniform_subsets(v4, 1)
     assert all(c.status == "regular" for c in report.cases)
+
+
+def test_survey_over_budget_raises_before_deciding(monkeypatch):
+    def forbidden(mu):
+        raise AssertionError("a subset was decided")
+
+    monkeypatch.setattr(convreg.regularity, "decide_regular", forbidden)
+    s5 = load_perm("perm 5\n(0 1)\n(0 1 2 3 4)\n")
+    with pytest.raises(CapExceeded, match="8502671 subsets"):
+        probe_uniform_subsets(s5, 4)
+
+
+def test_survey_budget_counts_every_subset(monkeypatch):
+    monkeypatch.setattr(convreg.regularity, "PROBE_MAX_CASES", 10)
+    with pytest.raises(CapExceeded, match="11 subsets"):
+        probe_uniform_subsets(Z4, 2)
+    assert len(probe_uniform_subsets(Z4, 1).cases) == 5
