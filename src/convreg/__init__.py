@@ -12,71 +12,41 @@ engine uses a closed form — a measure is regular exactly when it is uniform
 on a coset of a finite subgroup — and re-verifies every certificate by direct
 convolution; an independent brute-force grid search provides an oracle for
 cross-checking.
+
+This namespace re-exports what the demos, the README quick start and the
+acceptance tests import, plus :class:`ConvregError`; every other name imports
+from its module, e.g. ``from convreg.errors import ParseError``.
 """
 
 from .bruteforce import brute_force_ginverse, candidate_universe
-from .catalog import builtin_group, builtin_names, cayley_text, is_abelian, subgroups_of
+from .catalog import builtin_group, builtin_names, subgroups_of
 from .errors import (
-    BackendMismatch,
-    CapExceeded,
-    CertificateInvalid,
     ClosureBudgetExceeded,
     ConvregError,
-    DimensionMismatch,
-    IdentityMissing,
-    MPVerificationFailed,
-    NotAGInverse,
-    NotAGroup,
-    NotClosed,
-    OrderBudgetExceeded,
-    ParseError,
-    UniverseTooLarge,
 )
 from .grigorchuk import GrigorchukGroup, is_identity_word, reduce_word, word_order, word_sections
 from .groups import (
-    DEFAULT_CLOSURE_CAP,
-    DEFAULT_ORDER_CAP,
-    CayleyGroup,
-    Group,
-    GroupElement,
-    PermGroup,
     closure,
     enumerate_group,
     load_cayley,
-    load_group,
-    load_perm,
-    multiply,
 )
 from .linalg import RationalMatrix, gaussian_solve, mat_mul, mat_vec
 from .measures import (
     Measure,
     convolve,
     dirac,
-    format_weight,
     is_support_closed,
-    load_measure,
-    measure_from_json,
-    measure_to_json,
     support,
-    translate,
     uniform_on,
 )
 from .operators import (
-    OperatorMatrix,
-    SupportTable,
     build_support_table,
     left_operator,
     right_operator,
 )
 from .regularity import (
-    Certificate,
-    ProbeCase,
-    ProbeReport,
-    Verdict,
     decide_regular,
     decide_translated,
-    is_generalized_inverse,
-    moore_penrose,
     probe_uniform_subsets,
 )
 
@@ -85,19 +55,10 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # groups
-    "Group",
-    "GroupElement",
-    "CayleyGroup",
-    "PermGroup",
     "GrigorchukGroup",
-    "multiply",
     "closure",
     "enumerate_group",
     "load_cayley",
-    "load_perm",
-    "load_group",
-    "DEFAULT_ORDER_CAP",
-    "DEFAULT_CLOSURE_CAP",
     # grigorchuk word layer
     "reduce_word",
     "word_sections",
@@ -108,17 +69,10 @@ __all__ = [
     "dirac",
     "convolve",
     "uniform_on",
-    "translate",
     "support",
     "is_support_closed",
-    "load_measure",
-    "format_weight",
-    "measure_to_json",
-    "measure_from_json",
     # operators
-    "SupportTable",
     "build_support_table",
-    "OperatorMatrix",
     "left_operator",
     "right_operator",
     # linear algebra
@@ -127,37 +81,17 @@ __all__ = [
     "mat_vec",
     "gaussian_solve",
     # regularity engine
-    "is_generalized_inverse",
-    "moore_penrose",
-    "Certificate",
-    "Verdict",
     "decide_regular",
     "decide_translated",
-    "ProbeCase",
-    "ProbeReport",
     "probe_uniform_subsets",
     # oracle
     "brute_force_ginverse",
     "candidate_universe",
     # catalog
     "builtin_names",
-    "cayley_text",
     "builtin_group",
     "subgroups_of",
-    "is_abelian",
     # errors
     "ConvregError",
-    "BackendMismatch",
-    "ParseError",
-    "NotAGroup",
-    "NotClosed",
-    "IdentityMissing",
-    "DimensionMismatch",
-    "OrderBudgetExceeded",
     "ClosureBudgetExceeded",
-    "CapExceeded",
-    "UniverseTooLarge",
-    "NotAGInverse",
-    "MPVerificationFailed",
-    "CertificateInvalid",
 ]

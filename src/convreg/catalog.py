@@ -16,7 +16,6 @@ __all__ = [
     "cayley_text",
     "builtin_group",
     "subgroups_of",
-    "is_abelian",
 ]
 
 
@@ -130,9 +129,3 @@ def subgroups_of(group: CayleyGroup) -> list[tuple[int, ...]]:
         if all(table[i][j] in member_set for i in members for j in members):
             subgroups.append(tuple(members))
     return sorted(subgroups, key=lambda s: (len(s), s))
-
-
-def is_abelian(group: CayleyGroup) -> bool:
-    """Whether the multiplication table is symmetric."""
-    n = group.order
-    return all(group.table[i][j] == group.table[j][i] for i in range(n) for j in range(n))

@@ -14,7 +14,7 @@ the backend's ``_eq`` and ``_hash`` see the element, not its spelling (plain
 payload equality on tables and permutations; tree sections and a level-action
 fingerprint on words), so plain ``dict`` and ``set`` hold elements of every
 backend.  Hashes ignore the group object and repeat from run to run; elements
-of different group objects never compare equal and never mix: ``multiply``
+of different group objects never compare equal and never mix: their product
 raises :class:`~convreg.errors.BackendMismatch`.
 """
 
@@ -41,7 +41,6 @@ __all__ = [
     "GroupElement",
     "CayleyGroup",
     "PermGroup",
-    "multiply",
     "closure",
     "enumerate_group",
     "load_cayley",
@@ -128,7 +127,11 @@ class GroupElement:
         raise AttributeError("GroupElement is immutable")
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return multiply(self, other)
+        if self.group is not other.group:
+            raise BackendMismatch(
+                f"elements from different groups: {self.group.backend} vs {other.group.backend}"
+            )
+        return self.group.element(self.group._mul(self.payload, other.payload))
 
     def inverse(self) -> "GroupElement":
         return self.group.element(self.group._inv(self.payload))
@@ -154,19 +157,6 @@ class GroupElement:
 
     def __str__(self) -> str:
         return self.group.format_payload(self.payload)
-
-
-def _require_same_group(a: GroupElement, b: GroupElement) -> None:
-    if a.group is not b.group:
-        raise BackendMismatch(
-            f"elements from different groups: {a.group.backend} vs {b.group.backend}"
-        )
-
-
-def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Group product ``a * b``."""
-    _require_same_group(a, b)
-    return a.group.element(a.group._mul(a.payload, b.payload))
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +304,9 @@ class PermGroup(Group):
     def format_payload(self, x: tuple) -> str:
         return _format_cycles(x)
 
-    def generator_elements(self) -> tuple[GroupElement, ...]:
-        return tuple(self.element(g) for g in self.generators)
-
     def enumerate_elements(self, cap: int) -> tuple[GroupElement, ...]:
         try:
-            return closure(self, self.generator_elements(), cap=cap)
+            return closure(self, [self.element(g) for g in self.generators], cap=cap)
         except ClosureBudgetExceeded as exc:
             raise CapExceeded(str(exc)) from None
 

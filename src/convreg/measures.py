@@ -120,11 +120,12 @@ def convolve(mu: Measure, nu: Measure) -> Measure:
 
 def uniform_on(group: Group, elements: Iterable[GroupElement]) -> Measure:
     """Uniform measure on ``{e} ∪ elements`` (the identity is always included)."""
-    pool = dict.fromkeys([group.identity(), *elements])
+    pool = [group.identity(), *elements]
     if any(el.group is not group for el in pool):
         raise BackendMismatch("element belongs to a different group")
-    w = Fraction(1, len(pool))
-    return Measure(group, [(el, w) for el in pool])
+    merged = _merge_atoms((el, 1) for el in pool)
+    w = Fraction(1, len(merged))
+    return Measure._trusted(group, [(el, w) for el, _ in merged])
 
 
 def translate(mu: Measure, g: GroupElement, h: GroupElement) -> Measure:

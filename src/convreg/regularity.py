@@ -123,12 +123,11 @@ def moore_penrose(mu: Measure, ginverse: Measure) -> Measure:
 class Certificate:
     """A validated witness of regularity."""
 
-    subject: Measure
     ginverse: Measure
     moore_penrose: Measure
     checks: dict
     #: ``(g, h)`` with ``dirac(g) * subject * dirac(h)`` identity-supported,
-    #: or None when the subject already contains the identity.
+    #: or None when the verdict's subject already contains the identity.
     normalization: tuple[GroupElement, GroupElement] | None = None
 
 
@@ -248,7 +247,6 @@ def decide_regular(mu: Measure) -> Verdict:
             raise CertificateInvalid("Moore-Penrose support differs from the subject's")
         checks["mp_support_equals_subject_support"] = True
     cert = Certificate(
-        subject=mu,
         ginverse=ginverse,
         moore_penrose=mp,
         checks=checks,
@@ -357,12 +355,13 @@ def probe_uniform_subsets(
     for size in range(0, max_subset_size + 1):
         for combo in itertools.combinations(elements, size):
             measure = uniform_on(group, combo)
-            closed = is_support_closed(measure)
             try:
                 verdict = decide_regular(measure)
                 status, reason = verdict.status, verdict.reason
+                closed = reason != "support-not-closed"
             except ConvregError as exc:  # pragma: no cover - defensive
                 status, reason = "not-applicable", f"backend-error: {exc}"
+                closed = is_support_closed(measure)
             cases.append(
                 ProbeCase(
                     subset=combo,

@@ -10,7 +10,6 @@ import pytest
 from convreg import (
     GrigorchukGroup,
     Measure,
-    UniverseTooLarge,
     brute_force_ginverse,
     builtin_group,
     candidate_universe,
@@ -24,6 +23,7 @@ from convreg import (
     uniform_on,
 )
 from convreg.bruteforce import _compositions
+from convreg.errors import UniverseTooLarge
 
 Z2 = load_cayley("cayley 2\n0 1\n1 0\n")
 Z4 = load_cayley("cayley 4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n")

@@ -5,18 +5,16 @@ import pytest
 from convreg import (
     builtin_group,
     builtin_names,
-    cayley_text,
     enumerate_group,
-    is_abelian,
-    load_group,
     subgroups_of,
     uniform_on,
     convolve,
 )
+from convreg.catalog import cayley_text
+from convreg.groups import CayleyGroup, load_group
 
 EXPECTED_ORDERS = {"Z2": 2, "Z3": 3, "Z4": 4, "V4": 4, "S3": 6, "D4": 8, "Q8": 8}
 EXPECTED_SUBGROUP_COUNTS = {"Z2": 2, "Z3": 2, "Z4": 3, "V4": 5, "S3": 6, "D4": 10, "Q8": 6}
-EXPECTED_ABELIAN = {"Z2": True, "Z3": True, "Z4": True, "V4": True, "S3": False, "D4": False, "Q8": False}
 
 
 def test_names_cover_expectations():
@@ -59,11 +57,6 @@ def test_d4_structure():
     assert orders == [1, 2, 2, 2, 2, 2, 4, 4]
 
 
-def test_abelian_flags():
-    for name in builtin_names():
-        assert is_abelian(builtin_group(name)) == EXPECTED_ABELIAN[name]
-
-
 def test_subgroup_counts():
     for name in builtin_names():
         subs = subgroups_of(builtin_group(name))
@@ -89,7 +82,5 @@ def test_subgroup_uniform_measures_are_idempotent():
 
 def test_subgroup_enumeration_bails_out_beyond_sixteen():
     big = [[(i + j) % 17 for j in range(17)] for i in range(17)]
-    from convreg import CayleyGroup
-
     with pytest.raises(ValueError):
         subgroups_of(CayleyGroup(big))

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from convreg import load_group, measure_from_json
 from convreg.cli import main
+from convreg.groups import load_group
+from convreg.measures import measure_from_json
 
 Z2_TEXT = "cayley 2\n0 1\n1 0\n"
 Z4_TEXT = "cayley 4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n"

@@ -13,7 +13,8 @@ import threading
 
 import pytest
 
-from convreg import GrigorchukGroup, OrderBudgetExceeded, ParseError
+from convreg import GrigorchukGroup
+from convreg.errors import OrderBudgetExceeded, ParseError
 import convreg.grigorchuk as grigorchuk
 from convreg.grigorchuk import (
     is_identity_word,

@@ -5,22 +5,20 @@ import random
 import pytest
 
 from convreg import (
-    BackendMismatch,
-    CapExceeded,
-    CayleyGroup,
     ClosureBudgetExceeded,
     GrigorchukGroup,
-    NotAGroup,
-    OrderBudgetExceeded,
-    ParseError,
-    PermGroup,
     closure,
     enumerate_group,
     load_cayley,
-    load_group,
-    load_perm,
-    multiply,
 )
+from convreg.errors import (
+    BackendMismatch,
+    CapExceeded,
+    NotAGroup,
+    OrderBudgetExceeded,
+    ParseError,
+)
+from convreg.groups import CayleyGroup, PermGroup, load_group, load_perm
 
 Z2_TEXT = "cayley 2\n0 1\n1 0\n"
 Z4_TEXT = "cayley 4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n"
@@ -43,7 +41,7 @@ def test_load_cayley_z2():
 
 def test_cayley_multiply_and_inverse():
     g = z4()
-    assert multiply(g.element(1), g.element(3)) == g.element(0)
+    assert g.element(1) * g.element(3) == g.element(0)
     assert g.element(3).inverse() == g.element(1)
     assert g.identity() == g.element(0)
 
@@ -137,7 +135,7 @@ def test_perm_cycles_compose_leftmost_last():
 def test_perm_multiply_involution():
     g = PermGroup(3)
     t = g.parse_element("(0 1)")
-    assert multiply(t, t) == g.identity()
+    assert t * t == g.identity()
 
 
 def test_perm_inverse():
@@ -172,13 +170,13 @@ def test_cross_backend_multiplication_rejected():
     a = z4().element(1)
     b = PermGroup(3).parse_element("(0 1)")
     with pytest.raises(BackendMismatch):
-        multiply(a, b)
+        a * b
 
 
 def test_elements_of_distinct_group_objects_do_not_mix():
     g1, g2 = z4(), z4()
     with pytest.raises(BackendMismatch):
-        multiply(g1.element(1), g2.element(1))
+        g1.element(1) * g2.element(1)
 
 
 def test_element_hashes_do_not_depend_on_the_group_object():

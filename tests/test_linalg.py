@@ -5,12 +5,12 @@ from fractions import Fraction as F
 import pytest
 
 from convreg import (
-    DimensionMismatch,
     RationalMatrix,
     gaussian_solve,
     mat_mul,
     mat_vec,
 )
+from convreg.errors import DimensionMismatch
 
 
 def M(rows):

@@ -6,21 +6,19 @@ from fractions import Fraction as F
 import pytest
 
 from convreg import (
-    DimensionMismatch,
-    IdentityMissing,
     Measure,
-    NotClosed,
     RationalMatrix,
     build_support_table,
     convolve,
     enumerate_group,
     left_operator,
     load_cayley,
-    load_perm,
     mat_mul,
     mat_vec,
     right_operator,
 )
+from convreg.errors import DimensionMismatch, IdentityMissing, NotClosed
+from convreg.groups import load_perm
 
 Z2 = load_cayley("cayley 2\n0 1\n1 0\n")
 Z4 = load_cayley("cayley 4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n")

@@ -7,11 +7,8 @@ import pytest
 
 import convreg.regularity
 from convreg import (
-    CapExceeded,
-    CertificateInvalid,
     GrigorchukGroup,
     Measure,
-    NotAGInverse,
     builtin_group,
     builtin_names,
     convolve,
@@ -19,15 +16,16 @@ from convreg import (
     decide_translated,
     dirac,
     enumerate_group,
-    is_generalized_inverse,
+    is_support_closed,
     load_cayley,
-    load_perm,
-    moore_penrose,
     probe_uniform_subsets,
     subgroups_of,
     support,
     uniform_on,
 )
+from convreg.errors import CapExceeded, CertificateInvalid, NotAGInverse
+from convreg.groups import load_perm
+from convreg.regularity import is_generalized_inverse, moore_penrose
 
 Z2 = load_cayley("cayley 2\n0 1\n1 0\n")
 Z4 = load_cayley("cayley 4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n")
@@ -336,6 +334,20 @@ def test_survey_four_point_cycle():
     obj = report.to_json_dict()
     assert obj["summary"]["regular_iff_support_closed"] is True
     assert obj["summary"]["case_count"] == 11
+
+
+def test_survey_tests_each_support_for_closure_once(monkeypatch):
+    calls = []
+
+    def counting(mu):
+        calls.append(1)
+        return is_support_closed(mu)
+
+    monkeypatch.setattr(convreg.regularity, "is_support_closed", counting)
+    report = probe_uniform_subsets(Z4, 2)
+    assert len(calls) == len(report.cases) == 11
+    for case in report.cases:
+        assert case.support_closed == is_support_closed(uniform_on(Z4, case.subset))
 
 
 def test_survey_klein_four_single_elements():
