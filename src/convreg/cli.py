@@ -10,14 +10,16 @@ Subcommands::
     convreg probe    GROUPFILE               survey uniform measures on small subsets
 
 Exit codes: 0 regular (or plain success), 2 not-regular (or no inverse found
-in the searched grid), 1 any error.  Verdicts and reports go to standard
-output; diagnostics go to standard error and never depend on the verdict.
+in the searched grid), 1 any error, 141 (128 + SIGPIPE) when the reader of
+standard output closed it early.  Verdicts and reports go to standard output;
+diagnostics go to standard error and never depend on the verdict.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -39,6 +41,7 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_REGULAR = 2
+EXIT_BROKEN_PIPE = 128 + 13  # as if killed by SIGPIPE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -274,7 +277,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Point fd 1 at devnull so the final flush at exit stays silent too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (ConvregError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

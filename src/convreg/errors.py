@@ -19,7 +19,6 @@ __all__ = [
     "CapExceeded",
     "UniverseTooLarge",
     "NotAGInverse",
-    "MPVerificationFailed",
     "CertificateInvalid",
 ]
 
@@ -65,12 +64,12 @@ class OrderBudgetExceeded(ConvregError):
     """Element order exceeds the configured cap."""
 
 
-class ClosureBudgetExceeded(ConvregError):
-    """Generated-subgroup enumeration exceeded the configured cap."""
-
-
 class CapExceeded(ConvregError):
     """Group enumeration or a subset survey exceeds its budget (or is impossible)."""
+
+
+class ClosureBudgetExceeded(CapExceeded):
+    """Generated-subgroup enumeration exceeded the configured cap."""
 
 
 class UniverseTooLarge(ConvregError):
@@ -79,10 +78,6 @@ class UniverseTooLarge(ConvregError):
 
 class NotAGInverse(ConvregError):
     """A claimed generalized inverse fails the defining identity."""
-
-
-class MPVerificationFailed(ConvregError):
-    """A computed Moore-Penrose inverse fails one of its defining equations."""
 
 
 class CertificateInvalid(ConvregError):

@@ -31,14 +31,15 @@ sections and abelian images, so all spellings of an element share a
 fingerprint, and dicts and sets of words work as on the other backends.
 Depth 3 already separates <a,d>, <a,c> and <a,b> (orders 8, 16, 32).
 
-Identity tests and fingerprints (per depth) are memoized in bounded,
-lock-guarded, module-level caches (cleared wholesale when full), so group
-objects stay immutable and thread-safe.
+Identity tests and fingerprints are memoized in bounded, thread-safe
+``functools.lru_cache``s that evict the least recently used entry when full,
+so group objects stay immutable; ``cache_info()`` on either function reports
+its hits and misses.
 """
 
 from __future__ import annotations
 
-import threading
+from functools import lru_cache
 
 from .errors import OrderBudgetExceeded, ParseError
 from .groups import DEFAULT_ORDER_CAP, Group, GroupElement
@@ -72,14 +73,7 @@ _KLEIN = {
     ("d", "c"): "b",
 }
 
-_CACHE_LIMIT = 1 << 18
-_cache: dict[str, bool] = {}
-_cache_lock = threading.Lock()
-
 _FINGERPRINT_DEPTH = 4
-_FINGERPRINT_LIMIT = 1 << 14  # entries per depth
-# _fingerprints[k - 1] maps a reduced word to its depth-k fingerprint.
-_fingerprints: tuple[dict[str, int], ...] = tuple({} for _ in range(_FINGERPRINT_DEPTH))
 
 
 def reduce_word(letters: str) -> str:
@@ -137,25 +131,16 @@ def word_sections(word: str) -> tuple[bool, str, str]:
     return bool(swap), reduce_word("".join(left)), reduce_word("".join(right))
 
 
+@lru_cache(maxsize=1 << 18)
 def is_identity_word(word: str) -> bool:
     """Whether a reduced word denotes the identity automorphism."""
-    if word == "":
-        return True
-    if len(word) == 1:
-        return False
-    with _cache_lock:
-        cached = _cache.get(word)
-    if cached is not None:
-        return cached
+    if len(word) < 2:
+        return word == ""
     swap, w0, w1 = word_sections(word)
-    result = (not swap) and is_identity_word(w0) and is_identity_word(w1)
-    with _cache_lock:
-        if len(_cache) >= _CACHE_LIMIT:
-            _cache.clear()
-        _cache[word] = result
-    return result
+    return (not swap) and is_identity_word(w0) and is_identity_word(w1)
 
 
+@lru_cache(maxsize=5 << 14)  # room for 2^14 words at each of depths 0-4
 def word_fingerprint(word: str, depth: int = _FINGERPRINT_DEPTH) -> int:
     """Equality-invariant fingerprint of a reduced word (see the module docstring).
 
@@ -166,18 +151,9 @@ def word_fingerprint(word: str, depth: int = _FINGERPRINT_DEPTH) -> int:
     if depth == 0:
         a, b, c, d = (word.count(letter) & 1 for letter in _ALPHABET)
         return a | (b ^ d) << 1 | (c ^ d) << 2
-    memo = _fingerprints[depth - 1]
-    with _cache_lock:
-        fp = memo.get(word)
-    if fp is None:
-        swap, w0, w1 = word_sections(word)
-        bits = (4 << (depth - 1)) - 1
-        fp = swap | (word_fingerprint(w0, depth - 1) | word_fingerprint(w1, depth - 1) << bits) << 1
-        with _cache_lock:
-            if len(memo) >= _FINGERPRINT_LIMIT:
-                memo.clear()
-            memo[word] = fp
-    return fp
+    swap, w0, w1 = word_sections(word)
+    bits = (4 << (depth - 1)) - 1
+    return swap | (word_fingerprint(w0, depth - 1) | word_fingerprint(w1, depth - 1) << bits) << 1
 
 
 def word_order(word: str, cap: int = DEFAULT_ORDER_CAP) -> int:

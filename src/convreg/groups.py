@@ -305,10 +305,7 @@ class PermGroup(Group):
         return _format_cycles(x)
 
     def enumerate_elements(self, cap: int) -> tuple[GroupElement, ...]:
-        try:
-            return closure(self, [self.element(g) for g in self.generators], cap=cap)
-        except ClosureBudgetExceeded as exc:
-            raise CapExceeded(str(exc)) from None
+        return closure(self, [self.element(g) for g in self.generators], cap=cap)
 
 
 def _parse_cycles(text: str, degree: int) -> tuple:

@@ -35,7 +35,6 @@ __all__ = [
     "is_support_closed",
     "load_measure",
     "measure_to_json",
-    "measure_from_json",
     "format_weight",
 ]
 
@@ -195,17 +194,3 @@ def measure_to_json(mu: Measure) -> dict:
             {"element": str(el), "weight": format_weight(w)} for el, w in mu.atoms
         ],
     }
-
-
-def measure_from_json(obj: dict, group: Group) -> Measure:
-    """Inverse of :func:`measure_to_json` given the group context."""
-    if obj.get("backend") != group.backend:
-        raise BackendMismatch(
-            f"measure backend {obj.get('backend')!r} does not match group "
-            f"backend {group.backend!r}"
-        )
-    pairs = []
-    for atom in obj["atoms"]:
-        el = group.parse_element(atom["element"])
-        pairs.append((el, Fraction(atom["weight"])))
-    return Measure(group, pairs)

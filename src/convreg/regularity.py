@@ -56,13 +56,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    CapExceeded,
-    CertificateInvalid,
-    ConvregError,
-    MPVerificationFailed,
-    NotAGInverse,
-)
+from .errors import CapExceeded, CertificateInvalid, ConvregError, NotAGInverse
 from .groups import DEFAULT_CLOSURE_CAP, Group, GroupElement, enumerate_group
 from .linalg import RationalMatrix, gaussian_solve, mat_mul
 from .measures import (
@@ -106,16 +100,16 @@ def moore_penrose(mu: Measure, ginverse: Measure) -> Measure:
     """Moore-Penrose inverse ``ginverse * mu * ginverse`` of a regular measure.
 
     Raises NotAGInverse if ``ginverse`` is not actually a generalized inverse
-    and MPVerificationFailed if either defining equation fails afterwards
+    and CertificateInvalid if either defining equation fails afterwards
     (which would be an arithmetic bug, not a property of the input).
     """
     if not is_generalized_inverse(mu, ginverse):
         raise NotAGInverse("mu * nu * mu != mu for the claimed inverse")
     mp = convolve(convolve(ginverse, mu), ginverse)
     if convolve(convolve(mu, mp), mu) != mu:
-        raise MPVerificationFailed("mu * mp * mu != mu")
+        raise CertificateInvalid("mu * mp * mu != mu")
     if convolve(convolve(mp, mu), mp) != mp:
-        raise MPVerificationFailed("mp * mu * mp != mp")
+        raise CertificateInvalid("mp * mu * mp != mp")
     return mp
 
 

@@ -1,12 +1,15 @@
 """Command-line behavior: exit codes, report shapes, stream discipline."""
 
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from convreg.cli import main
-from convreg.groups import load_group
-from convreg.measures import measure_from_json
 
 Z2_TEXT = "cayley 2\n0 1\n1 0\n"
 Z4_TEXT = "cayley 4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n"
@@ -82,11 +85,9 @@ def test_check_json_roundtrips_measures(files, capsys):
     code, out, _ = run(capsys, "check", files["z2"], files["uniform"], "--json")
     assert code == 0
     obj = json.loads(out)
-    group = load_group(Z2_TEXT)
-    subject = measure_from_json(obj["subject"], group)
-    ginverse = measure_from_json(obj["ginverse"], group)
-    assert subject.weight_of(group.element(1)).denominator == 2
-    assert len(ginverse) == 1
+    weights = {atom["element"]: atom["weight"] for atom in obj["subject"]["atoms"]}
+    assert Fraction(weights["1"]).denominator == 2
+    assert len(obj["ginverse"]["atoms"]) == 1
     assert obj["checks"]["support_closed"] is True
 
 
@@ -193,3 +194,24 @@ def test_probe_on_word_group_is_an_error(files, capsys):
     assert code == 1
     assert "error:" in err
 
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_quietly_with_sigpipe_code(files, unbuffered):
+    # The pipe's read end is closed before the child starts, so its first
+    # write to stdout fails with EPIPE; with buffered stdout that write is
+    # the flush at the end of the command.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "convreg.cli", "probe", files["z4"], "--max-set-size", "2", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

@@ -7,6 +7,7 @@ defining recursion a=(1,1)sigma, b=(a,c), c=(a,d), d=(1,b), with no word
 rewriting involved, so it cannot share bugs with the rewriting engine.
 """
 
+import functools
 import random
 import sys
 import threading
@@ -325,31 +326,33 @@ def test_fingerprints_separate_the_dihedral_subgroups():
 
 
 def test_fingerprint_cache_stays_bounded(monkeypatch):
+    assert word_fingerprint.cache_info().maxsize == 5 << 14
     rng = random.Random(31)
     words = [reduce_word(_random_word(rng, 24)) for _ in range(300)]
     expected = [word_fingerprint(w) for w in words]
-    caches = tuple({} for _ in grigorchuk._fingerprints)
-    monkeypatch.setattr(grigorchuk, "_FINGERPRINT_LIMIT", 5)
-    monkeypatch.setattr(grigorchuk, "_fingerprints", caches)
+    # The recursion looks the name up in the module, so every depth goes
+    # through the small copy and keeps evicting.
+    small = functools.lru_cache(maxsize=5)(word_fingerprint.__wrapped__)
+    monkeypatch.setattr(grigorchuk, "word_fingerprint", small)
     for _ in range(2):
-        assert [word_fingerprint(w) for w in words] == expected
-        assert all(len(cache) <= 5 for cache in caches)
+        assert [small(w) for w in words] == expected
+        assert small.cache_info().currsize <= 5
 
 
 def test_fingerprint_cache_under_threads(monkeypatch):
-    # More threads than cores share a tiny cache that keeps being cleared;
+    # More threads than cores share a tiny cache that keeps evicting;
     # every thread must still see the single-threaded fingerprints.
     rng = random.Random(2718)
     words = [reduce_word(_random_word(rng, 24)) for _ in range(200)]
     expected = [word_fingerprint(w) for w in words]
-    monkeypatch.setattr(grigorchuk, "_FINGERPRINT_LIMIT", 3)
-    monkeypatch.setattr(grigorchuk, "_fingerprints", tuple({} for _ in grigorchuk._fingerprints))
+    small = functools.lru_cache(maxsize=3)(word_fingerprint.__wrapped__)
+    monkeypatch.setattr(grigorchuk, "word_fingerprint", small)
     results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         threads = [threading.Thread(target=lambda: results.append(
-            [word_fingerprint(w) for w in words])) for _ in range(8)]
+            [small(w) for w in words])) for _ in range(8)]
         for t in threads:
             t.start()
         for t in threads:
@@ -358,3 +361,26 @@ def test_fingerprint_cache_under_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert results == [expected] * 8
+    assert small.cache_info().currsize <= 3
+
+
+def test_identity_cache_evicts_without_changing_answers(monkeypatch):
+    assert is_identity_word.cache_info().maxsize == 1 << 18
+    g = GrigorchukGroup()
+    rng = random.Random(1729)
+    words = [reduce_word(_random_word(rng, 24)) for _ in range(200)]
+    # Respellings of each word by a relator: equal elements, distinct words.
+    respelled = [(w, reduce_word(r + w)) for w in words[:40] for r in IDENTITY_WORDS]
+    tested = words + [*IDENTITY_WORDS] + [g._mul(v, w[::-1]) for w, v in respelled]
+    expected = [is_identity_word(w) for w in tested]
+    equalities = [g.element(x) == g.element(y) for x, y in zip(words, words[1:])]
+    assert any(expected) and not all(expected)
+    # GrigorchukGroup._eq and the recursion look the name up in the module.
+    small = functools.lru_cache(maxsize=3)(is_identity_word.__wrapped__)
+    monkeypatch.setattr(grigorchuk, "is_identity_word", small)
+    for _ in range(2):
+        assert [small(w) for w in tested] == expected
+        assert all(g.element(v) == g.element(w) for w, v in respelled)
+        assert [g.element(x) == g.element(y) for x, y in zip(words, words[1:])] == equalities
+        assert small.cache_info().currsize <= 3
+    assert small.cache_info().misses > 3

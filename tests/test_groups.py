@@ -212,6 +212,12 @@ def test_closure_budget():
         closure(g, [g.element("a"), g.element("b"), g.element("c")], cap=50)
 
 
+def test_perm_enumeration_over_cap_raises_cap_exceeded():
+    g = load_perm(S3_PERM_TEXT)
+    with pytest.raises(CapExceeded, match="generated subgroup exceeds cap 5"):
+        enumerate_group(g, cap=5)
+
+
 def test_enumerate_group_cap():
     g = GrigorchukGroup()
     with pytest.raises(CapExceeded):

@@ -202,6 +202,20 @@ def test_inverse_failing_revalidation_is_an_invalid_certificate(monkeypatch):
         decide_regular(uniform_on(Z4, [Z4.element(2)]))
 
 
+def test_moore_penrose_failing_revalidation_is_an_invalid_certificate(monkeypatch):
+    # moore_penrose convolves mu * nu * mu first, then builds mp = (nu * mu) * nu
+    # with the fourth call; hand out a point mass there, so mp * mu * mp != mp.
+    calls = []
+
+    def convolve_with_wrong_mp(left, right):
+        calls.append(None)
+        return dirac(Z4.element(0)) if len(calls) == 4 else convolve(left, right)
+
+    monkeypatch.setattr(convreg.regularity, "convolve", convolve_with_wrong_mp)
+    with pytest.raises(CertificateInvalid, match=r"mp \* mu \* mp != mp"):
+        decide_regular(uniform_on(Z4, [Z4.element(2)]))
+
+
 def test_verdict_json_shape():
     obj = decide_regular(z2_uniform()).to_json_dict()
     assert obj["status"] == "regular"
