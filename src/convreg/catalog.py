@@ -9,7 +9,7 @@ square, and the quaternion group.  Each is exposed both as loadable file text
 
 from __future__ import annotations
 
-from .groups import CayleyGroup, load_cayley
+from .groups import CayleyGroup, PermGroup, load_cayley
 
 __all__ = [
     "builtin_names",
@@ -45,18 +45,8 @@ def _sym3() -> list[list[int]]:
 
 
 def _dihedral4() -> list[list[int]]:
-    rot = (1, 2, 3, 0)
-    flip = (3, 2, 1, 0)
-    perms = {tuple(range(4))}
-    frontier = [tuple(range(4))]
-    while frontier:
-        p = frontier.pop()
-        for g in (rot, flip):
-            q = tuple(p[g[x]] for x in range(4))
-            if q not in perms:
-                perms.add(q)
-                frontier.append(q)
-    return _from_perms(sorted(perms))
+    square = PermGroup(4, [(1, 2, 3, 0), (3, 2, 1, 0)])  # rotation, flip
+    return _from_perms([el.payload for el in square.enumerate_elements(8)])
 
 
 def _quaternion() -> list[list[int]]:

@@ -273,11 +273,12 @@ def _build_parser() -> _Parser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse handles --help and usage errors
-        return int(exc.code or 0)
-    try:
-        code = args.func(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse handles --help and usage errors
+            code = int(exc.code or 0)
+        else:
+            code = args.func(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
         return code
     except BrokenPipeError:

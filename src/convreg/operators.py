@@ -16,6 +16,10 @@ arithmetic restricted to it becomes index bookkeeping:
 Row ``j`` of either matrix describes the output weight at atom ``g_j``;
 column index runs over the input atoms.  Both matrices are doubly stochastic:
 every row and column is a permutation of ``alpha``.
+
+:func:`~convreg.regularity.decide_regular` builds the table of every
+normalized support it decides: building it is the verdict's closure test,
+and the product :class:`~convreg.errors.NotClosed` names is the witness.
 """
 
 from __future__ import annotations
@@ -57,9 +61,10 @@ class SupportTable:
 def build_support_table(elements: Sequence[GroupElement]) -> SupportTable:
     """Index the multiplication of a closed support containing the identity.
 
-    Raises IdentityMissing when no atom is the identity and NotClosed (with a
-    witness pair) when some product escapes the support.  The identity is
-    moved to index 0 if it is not already first.
+    Raises IdentityMissing when no atom is the identity and NotClosed, naming
+    the first product in row-major order that escapes the support, when the
+    support is not closed.  The identity is moved to index 0 if it is not
+    already first.
     """
     elems = list(elements)
     if not elems:
@@ -72,24 +77,16 @@ def build_support_table(elements: Sequence[GroupElement]) -> SupportTable:
     for i, el in enumerate(elems):
         index.setdefault(el, i)
     mult = []
-    for j, gj in enumerate(elems):
+    for gj in elems:
         row = []
-        for k, gk in enumerate(elems):
+        for gk in elems:
             idx = index.get(gj * gk)
             if idx is None:
-                raise NotClosed(
-                    f"product of atoms {j} and {k} ({gj} * {gk} = {gj * gk}) "
-                    "escapes the support"
-                )
+                raise NotClosed(f"{gj} * {gk} = {gj * gk} escapes the support")
             row.append(idx)
         mult.append(tuple(row))
-    inv = []
-    for k in range(len(elems)):
-        j = next((j for j in range(len(elems)) if mult[k][j] == 0), None)
-        if j is None:
-            raise NotClosed(f"atom {k} ({elems[k]}) has no inverse inside the support")
-        inv.append(j)
-    return SupportTable(tuple(elems), tuple(mult), tuple(inv))
+    # A finite closed set containing e is a subgroup, so every row holds e.
+    return SupportTable(tuple(elems), tuple(mult), tuple(row.index(0) for row in mult))
 
 
 @dataclass(frozen=True)

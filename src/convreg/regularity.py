@@ -30,8 +30,10 @@ The decision procedure:
 1. translation-normalize: left-multiply by the point mass at ``x^{-1}``, so
    the identity joins the support (point masses are invertible, so this
    preserves regularity);
-2. if the normalized support is not closed under multiplication, the measure
-   is not regular;
+2. build the :class:`~convreg.operators.SupportTable` of the normalized
+   support: it is the closure test, and when some product escapes the
+   support the measure is not regular, the first escaping product in
+   row-major canonical order being the witness;
 3. otherwise the measure is regular exactly when its weights are all equal;
 4. the certificate ``dirac(x^{-1})`` is re-validated by direct convolution,
    on the normalized measure when it differs from the original and, inside
@@ -56,20 +58,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapExceeded, CertificateInvalid, ConvregError, NotAGInverse
+from .errors import CapExceeded, CertificateInvalid, NotAGInverse, NotClosed
 from .groups import DEFAULT_CLOSURE_CAP, Group, GroupElement, enumerate_group
 from .linalg import RationalMatrix, gaussian_solve, mat_mul
 from .measures import (
     Measure,
     convolve,
     dirac,
-    is_support_closed,
     measure_to_json,
     support,
     translate,
     uniform_on,
 )
-from .operators import build_support_table, left_operator, right_operator
+from .operators import SupportTable, build_support_table, left_operator, right_operator
 
 __all__ = [
     "is_generalized_inverse",
@@ -129,8 +130,8 @@ class Certificate:
 class Verdict:
     """Outcome of a regularity decision."""
 
-    status: str  # "regular" | "not-regular" | "not-applicable"
-    reason: str  # "certificate" | "support-not-closed" | "system-infeasible" | "backend-error"
+    status: str  # "regular" | "not-regular"
+    reason: str  # "certificate" | "support-not-closed" | "system-infeasible"
     subject: Measure
     certificate: Certificate | None = None
     detail: str | None = None
@@ -152,15 +153,7 @@ class Verdict:
         }
 
 
-def _closure_witness(mu: Measure) -> str:
-    """Name the first product of atoms that escapes a support known to be open."""
-    elems = support(mu)
-    keys = set(elems)
-    g, h = next((g, h) for g in elems for h in elems if g * h not in keys)
-    return f"{g} * {h} = {g * h} escapes the support"
-
-
-def _infeasibility_detail(mu: Measure, normalized: Measure) -> str:
+def _infeasibility_detail(mu: Measure, normalized: Measure, table: SupportTable) -> str:
     """Exact diagnostics for a closed support with unequal weights."""
     x, wx = mu.atoms[0]
     y, wy = next((el, w) for el, w in mu.atoms if w != wx)
@@ -170,7 +163,6 @@ def _infeasibility_detail(mu: Measure, normalized: Measure) -> str:
     )
     if len(normalized) > SYSTEM_DIAGNOSTIC_MAX_ATOMS:
         return pair
-    table = build_support_table(support(normalized))
     weights = dict(normalized.atoms)
     alpha = [weights[el] for el in table.elements]
     rl = mat_mul(right_operator(alpha, table).matrix, left_operator(alpha, table).matrix)
@@ -203,14 +195,16 @@ def decide_regular(mu: Measure) -> Verdict:
     trivial = x == e
     xinv = x.inverse()
     normalized = mu if trivial else convolve(dirac(xinv), mu)
-    if not is_support_closed(normalized):
+    try:
+        table = build_support_table(support(normalized))
+    except NotClosed as exc:
         prefix = "" if trivial else f"after left translation by {xinv}, "
         return Verdict(
             "not-regular",
             "support-not-closed",
             mu,
             detail=(
-                prefix + _closure_witness(normalized)
+                prefix + str(exc)
                 + "; the support of a regular measure, translated to contain "
                 "the identity, is a finite subgroup"
             ),
@@ -220,7 +214,7 @@ def decide_regular(mu: Measure) -> Verdict:
             "not-regular",
             "system-infeasible",
             mu,
-            detail=_infeasibility_detail(mu, normalized),
+            detail=_infeasibility_detail(mu, normalized, table),
         )
     # When x is the identity, normalized is mu and moore_penrose makes this check.
     if not trivial and convolve(convolve(normalized, dirac(e)), normalized) != normalized:
@@ -348,20 +342,13 @@ def probe_uniform_subsets(
     cases = []
     for size in range(0, max_subset_size + 1):
         for combo in itertools.combinations(elements, size):
-            measure = uniform_on(group, combo)
-            try:
-                verdict = decide_regular(measure)
-                status, reason = verdict.status, verdict.reason
-                closed = reason != "support-not-closed"
-            except ConvregError as exc:  # pragma: no cover - defensive
-                status, reason = "not-applicable", f"backend-error: {exc}"
-                closed = is_support_closed(measure)
+            verdict = decide_regular(uniform_on(group, combo))
             cases.append(
                 ProbeCase(
                     subset=combo,
-                    support_closed=closed,
-                    status=status,
-                    reason=reason,
+                    support_closed=verdict.reason != "support-not-closed",
+                    status=verdict.status,
+                    reason=verdict.reason,
                 )
             )
     return ProbeReport(

@@ -57,6 +57,22 @@ def test_d4_structure():
     assert orders == [1, 2, 2, 2, 2, 2, 4, 4]
 
 
+def test_d4_table_text_is_pinned():
+    # Elements are the square's symmetries as image tuples in sorted order.
+    assert cayley_text("D4") == (
+        "# D4\n"
+        "cayley 8\n"
+        "0 1 2 3 4 5 6 7\n"
+        "1 0 6 7 5 4 2 3\n"
+        "2 3 0 1 6 7 4 5\n"
+        "3 2 4 5 7 6 0 1\n"
+        "4 5 3 2 0 1 7 6\n"
+        "5 4 7 6 1 0 3 2\n"
+        "6 7 1 0 2 3 5 4\n"
+        "7 6 5 4 3 2 1 0\n"
+    )
+
+
 def test_subgroup_counts():
     for name in builtin_names():
         subs = subgroups_of(builtin_group(name))

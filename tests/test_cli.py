@@ -195,11 +195,24 @@ def test_probe_on_word_group_is_an_error(files, capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_closed_stdout_exits_quietly_with_sigpipe_code(files, unbuffered):
+@pytest.mark.parametrize(
+    "command, unbuffered",
+    [
+        pytest.param("probe", False, id="buffered"),
+        pytest.param("probe", True, id="unbuffered"),
+        # argparse prints help itself; unbuffered, it drops the failed write
+        # and exits 0, so only the buffered case reaches the final flush.
+        pytest.param("help", False, id="help-buffered"),
+    ],
+)
+def test_closed_stdout_exits_quietly_with_sigpipe_code(files, command, unbuffered):
     # The pipe's read end is closed before the child starts, so its first
     # write to stdout fails with EPIPE; with buffered stdout that write is
     # the flush at the end of the command.
+    argv = {
+        "probe": ["probe", files["z4"], "--max-set-size", "2", "--json"],
+        "help": ["--help"],
+    }[command]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
@@ -208,7 +221,7 @@ def test_closed_stdout_exits_quietly_with_sigpipe_code(files, unbuffered):
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "convreg.cli", "probe", files["z4"], "--max-set-size", "2", "--json"],
+            [sys.executable, "-m", "convreg.cli", *argv],
             stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
         )
     finally:

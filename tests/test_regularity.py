@@ -119,10 +119,10 @@ def test_underdetermined_system_names_a_negative_particular_solution():
 
 
 def test_large_skewed_support_names_unequal_weights_without_a_system(monkeypatch):
-    def forbidden(elements):
+    def forbidden(a, b):
         raise AssertionError("the equality system was built")
 
-    monkeypatch.setattr(convreg.regularity, "build_support_table", forbidden)
+    monkeypatch.setattr(convreg.regularity, "mat_mul", forbidden)
     a4 = load_perm("perm 4\n(0 1 2)\n(1 2 3)\n")
     elems = enumerate_group(a4)
     assert len(elems) == 12 > convreg.regularity.SYSTEM_DIAGNOSTIC_MAX_ATOMS
@@ -154,6 +154,34 @@ def test_open_support_is_rejected_before_solving():
     assert verdict.status == "not-regular"
     assert verdict.reason == "support-not-closed"
     assert "escapes the support" in verdict.detail
+
+
+SUBGROUP_NOTE = (
+    "; the support of a regular measure, translated to contain the identity, "
+    "is a finite subgroup"
+)
+GRIG = GrigorchukGroup()
+
+
+@pytest.mark.parametrize(
+    "mu, witness",
+    [
+        (uniform_on(Z4, [Z4.element(1)]), "1 * 1 = 2 escapes the support"),
+        (
+            Measure(Z4, [(Z4.element(1), F(1, 2)), (Z4.element(2), F(1, 2))]),
+            "after left translation by 3, 1 * 1 = 2 escapes the support",
+        ),
+        (
+            Measure(GRIG, [(GRIG.element("a"), F(1, 2)), (GRIG.element("b"), F(1, 2))]),
+            "after left translation by a, ab * ab = abab escapes the support",
+        ),
+    ],
+    ids=["cayley", "cayley-translated", "word-translated"],
+)
+def test_open_support_detail_names_the_first_escaping_product(mu, witness):
+    verdict = decide_regular(mu)
+    assert verdict.reason == "support-not-closed"
+    assert verdict.detail == witness + SUBGROUP_NOTE
 
 
 def test_point_masses_are_regular():
@@ -352,12 +380,13 @@ def test_survey_four_point_cycle():
 
 def test_survey_tests_each_support_for_closure_once(monkeypatch):
     calls = []
+    build = convreg.regularity.build_support_table
 
-    def counting(mu):
+    def counting(elements):
         calls.append(1)
-        return is_support_closed(mu)
+        return build(elements)
 
-    monkeypatch.setattr(convreg.regularity, "is_support_closed", counting)
+    monkeypatch.setattr(convreg.regularity, "build_support_table", counting)
     report = probe_uniform_subsets(Z4, 2)
     assert len(calls) == len(report.cases) == 11
     for case in report.cases:
