@@ -17,9 +17,28 @@ Row ``j`` of either matrix describes the output weight at atom ``g_j``;
 column index runs over the input atoms.  Both matrices are doubly stochastic:
 every row and column is a permutation of ``alpha``.
 
+:func:`build_support_table` computes only a few columns of the table with
+group products and fills the rest by index arithmetic.  It picks generators
+greedily, each the least index not yet reached, and computes for each
+generator ``s_t`` the right-multiplication column ``col_t[j] = index(g_j s_t)``:
+``n`` products a generator.  A breadth-first search reaches every other atom
+as ``g_k = g_p s_t`` with ``p`` reached before ``k``, and then
+``mult[j][k] = col_t[mult[j][p]]`` for every ``j``.  At most ``log2(n)``
+generators are picked, because each enlarges the subgroup reached so far to
+at least twice its order.
+
+Proof of the closure test.  Suppose every column product lies in the support
+``K``.  Induct along the search order: ``g_j g_0 = g_j`` is in ``K``, and if
+``g_j g_p`` is in ``K`` then, by associativity, ``g_j g_k = (g_j g_p) s_t`` is
+an entry of ``col_t`` and so in ``K``.  Every atom is reached, because each
+unreached atom is made a generator (``e s = s``), so ``K`` is closed and the
+fill is its table.  Conversely an escaping column product is a product of two
+atoms outside ``K``; the row-major scan then names the first such product.
+
 :func:`~convreg.regularity.decide_regular` builds the table of every
 normalized support it decides: building it is the verdict's closure test,
-and the product :class:`~convreg.errors.NotClosed` names is the witness.
+the product :class:`~convreg.errors.NotClosed` names is the witness, and a
+regular verdict's certificate is re-validated by integer convolution over it.
 """
 
 from __future__ import annotations
@@ -28,8 +47,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DimensionMismatch, IdentityMissing, NotClosed
-from .groups import GroupElement
+from .errors import CapExceeded, DimensionMismatch, IdentityMissing, NotClosed
+from .groups import DEFAULT_CLOSURE_CAP, GroupElement
 from .linalg import RationalMatrix
 
 __all__ = [
@@ -61,12 +80,17 @@ class SupportTable:
 def build_support_table(elements: Sequence[GroupElement]) -> SupportTable:
     """Index the multiplication of a closed support containing the identity.
 
-    Raises IdentityMissing when no atom is the identity and NotClosed, naming
-    the first product in row-major order that escapes the support, when the
-    support is not closed.  The identity is moved to index 0 if it is not
-    already first.
+    Raises CapExceeded, before any product, when there are more than
+    ``DEFAULT_CLOSURE_CAP`` elements; IdentityMissing when no atom is the
+    identity; and NotClosed, naming the first product in row-major order that
+    escapes the support, when the support is not closed.  The identity is
+    moved to index 0 if it is not already first.
     """
     elems = list(elements)
+    if len(elems) > DEFAULT_CLOSURE_CAP:
+        raise CapExceeded(
+            f"support of {len(elems)} atoms exceeds the table budget of {DEFAULT_CLOSURE_CAP}"
+        )
     if not elems:
         raise IdentityMissing("empty support")
     e = elems[0].group.identity()
@@ -74,19 +98,57 @@ def build_support_table(elements: Sequence[GroupElement]) -> SupportTable:
         raise IdentityMissing("support does not contain the identity")
     elems.insert(0, elems.pop(elems.index(e)))
     index: dict[GroupElement, int] = {}
-    for i, el in enumerate(elems):
-        index.setdefault(el, i)
-    mult = []
-    for gj in elems:
-        row = []
-        for gk in elems:
-            idx = index.get(gj * gk)
-            if idx is None:
-                raise NotClosed(f"{gj} * {gk} = {gj * gk} escapes the support")
-            row.append(idx)
-        mult.append(tuple(row))
+    rep = [index.setdefault(el, i) for i, el in enumerate(elems)]
+    columns = _columns_from_generators(elems, index, rep)
+    if columns is None:
+        # Some product escapes, so the row-major scan finds a first one.
+        gj, gk = next((gj, gk) for gj in elems for gk in elems if gj * gk not in index)
+        raise NotClosed(f"{gj} * {gk} = {gj * gk} escapes the support")
+    mult = tuple(zip(*columns))
     # A finite closed set containing e is a subgroup, so every row holds e.
-    return SupportTable(tuple(elems), tuple(mult), tuple(row.index(0) for row in mult))
+    return SupportTable(tuple(elems), mult, tuple(row.index(0) for row in mult))
+
+
+def _columns_from_generators(
+    elems: list[GroupElement], index: dict[GroupElement, int], rep: list[int]
+) -> list[list[int]] | None:
+    """Columns ``k -> [index(g_j g_k) for j]`` of the table, or None if not closed.
+
+    ``rep[i]`` is the first index of the element at ``i`` (repeated elements
+    share their first occurrence's index and column).
+    """
+    n = len(elems)
+    gen_columns: list[list[int]] = []
+    tree: list[tuple[int, int] | None] = [None] * n  # k -> (p, t): g_k = g_p s_t
+    reached = [False] * n
+    reached[0] = True
+    order = [0]
+    for g in range(n):
+        if reached[rep[g]]:
+            continue
+        s = elems[g]
+        column = [index.get(x * s) for x in elems]
+        if None in column:
+            return None
+        gen_columns.append(column)
+        frontier = order[:]
+        while frontier:
+            new = []
+            for p in frontier:
+                for t, col in enumerate(gen_columns):
+                    k = col[p]
+                    if not reached[k]:
+                        reached[k] = True
+                        tree[k] = (p, t)
+                        new.append(k)
+            order += new
+            frontier = new
+    columns: list[list[int] | None] = [None] * n
+    columns[0] = rep
+    for k in order[1:]:
+        p, t = tree[k]
+        columns[k] = list(map(gen_columns[t].__getitem__, columns[p]))
+    return [columns[r] for r in rep]
 
 
 @dataclass(frozen=True)

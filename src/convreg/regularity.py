@@ -35,10 +35,16 @@ The decision procedure:
    support the measure is not regular, the first escaping product in
    row-major canonical order being the witness;
 3. otherwise the measure is regular exactly when its weights are all equal;
-4. the certificate ``dirac(x^{-1})`` is re-validated by direct convolution,
-   on the normalized measure when it differs from the original and, inside
-   :func:`moore_penrose`, on the original, before it is issued together with
-   the verified Moore-Penrose inverse.
+4. the certificate ``nu = dirac(x^{-1})`` and the Moore-Penrose inverse
+   ``mp = nu * mu * nu``, a two-sided translate built with ``|mu|`` group
+   products, are re-validated by exact integer convolution over the table
+   before they are issued.  With ``N = dirac(x^{-1}) * mu`` on the table and
+   ``r~ = r * dirac(x)`` for a measure ``r``, ``mu * r * mu = dirac(x) *
+   (N * r~ * N)``, so ``mu * r * mu = mu`` exactly when ``N * r~ * N = N``,
+   and ``mp * mu * mp = mp`` exactly when ``mp~ * N * mp~ = mp~``.  When
+   ``r~`` has an atom off the subgroup ``K``, ``N * r~ * N`` has one too and
+   the check fails.  Weights are scaled to integers by the lcm of their
+   denominators.
 
 A closed support with unequal weights gets a diagnostic ``detail``: on at
 most ``SYSTEM_DIAGNOSTIC_MAX_ATOMS`` atoms the exact solution of the equality
@@ -57,6 +63,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import CapExceeded, CertificateInvalid, NotAGInverse, NotClosed
 from .groups import DEFAULT_CLOSURE_CAP, Group, GroupElement, enumerate_group
@@ -187,6 +194,46 @@ def _infeasibility_detail(mu: Measure, normalized: Measure, table: SupportTable)
     return f"{reason}; {pair}"
 
 
+def _on_table(
+    pairs: Sequence[tuple[GroupElement, Fraction]], index: dict[GroupElement, int]
+) -> list[int] | None:
+    """Weights at table indices, scaled by the lcm of their denominators.
+
+    None when an element is off the table.
+    """
+    scale = math.lcm(*(w.denominator for _, w in pairs))
+    vector = [0] * len(index)
+    for el, w in pairs:
+        i = index.get(el)
+        if i is None:
+            return None
+        vector[i] = w.numerator * (scale // w.denominator)
+    return vector
+
+
+def _table_convolve(a: list[int], b: list[int], mult) -> list[int]:
+    """Convolution of integer weight vectors over a support table."""
+    out = [0] * len(a)
+    b_atoms = [(k, wk) for k, wk in enumerate(b) if wk]
+    for j, wj in enumerate(a):
+        if wj:
+            row = mult[j]
+            for k, wk in b_atoms:
+                out[row[k]] += wj * wk
+    return out
+
+
+def _reproduces(a: list[int], b: list[int] | None, mult) -> bool:
+    """Whether ``a * b * a == a`` for probability measures given as integer weights.
+
+    ``b`` is None when it has an atom off the table; then so does ``a * b * a``.
+    """
+    if b is None:
+        return False
+    scale = sum(a) * sum(b)
+    return _table_convolve(_table_convolve(a, b, mult), a, mult) == [v * scale for v in a]
+
+
 def decide_regular(mu: Measure) -> Verdict:
     """Decide whether ``mu`` has a generalized inverse, with certificate."""
     group = mu.group
@@ -216,17 +263,24 @@ def decide_regular(mu: Measure) -> Verdict:
             mu,
             detail=_infeasibility_detail(mu, normalized, table),
         )
-    # When x is the identity, normalized is mu and moore_penrose makes this check.
-    if not trivial and convolve(convolve(normalized, dirac(e)), normalized) != normalized:
-        raise CertificateInvalid("normalized measure failed the closed-form re-validation")
     ginverse = dirac(x if trivial else xinv)  # x keeps its own spelling (word backend)
-    try:
-        mp = moore_penrose(mu, ginverse)
-    except NotAGInverse as exc:
-        raise CertificateInvalid(f"the inverse failed re-validation: {exc}") from exc
+    nu = ginverse.atoms[0][0]
+    mp = translate(mu, nu, nu)
+    index = {el: i for i, el in enumerate(table.elements)}
+    base = _on_table(normalized.atoms, index)
+    nu_shifted = _on_table([(el * x, w) for el, w in ginverse.atoms], index)
+    mp_shifted = _on_table([(el * x, w) for el, w in mp.atoms], index)
+    if not _reproduces(base, nu_shifted, table.mult):
+        raise CertificateInvalid(
+            "the inverse failed re-validation: mu * nu * mu != mu for the claimed inverse"
+        )
+    if not _reproduces(base, mp_shifted, table.mult):
+        raise CertificateInvalid("mu * mp * mu != mu")
+    if not _reproduces(mp_shifted, base, table.mult):
+        raise CertificateInvalid("mp * mu * mp != mp")
     checks = {
         "support_closed": True,
-        "ginverse_identity": True,  # mu * nu * mu == mu, re-verified by moore_penrose
+        "ginverse_identity": True,  # mu * nu * mu == mu, re-verified on the table
         "mp_left": True,  # mu * mp * mu == mu
         "mp_right": True,  # mp * mu * mp == mp
     }

@@ -4,11 +4,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
+import convreg.operators
 from convreg import (
+    GrigorchukGroup,
     Measure,
     RationalMatrix,
     build_support_table,
+    builtin_group,
+    builtin_names,
     convolve,
     enumerate_group,
     left_operator,
@@ -16,9 +21,11 @@ from convreg import (
     mat_mul,
     mat_vec,
     right_operator,
+    subgroups_of,
 )
-from convreg.errors import DimensionMismatch, IdentityMissing, NotClosed
-from convreg.groups import load_perm
+from convreg.errors import CapExceeded, DimensionMismatch, IdentityMissing, NotClosed
+from convreg.groups import closure, load_perm
+from convreg.operators import SupportTable
 
 Z2 = load_cayley("cayley 2\n0 1\n1 0\n")
 Z4 = load_cayley("cayley 4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n")
@@ -98,6 +105,100 @@ def test_open_support_rejected_with_witness():
     with pytest.raises(NotClosed) as err:
         table_for(Z4, [0, 1])
     assert str(err.value) == "1 * 1 = 2 escapes the support"
+
+
+def test_support_over_the_budget_is_refused_before_any_product(monkeypatch):
+    def forbidden(x, y):
+        raise AssertionError("a product was computed")
+
+    monkeypatch.setattr(convreg.operators, "DEFAULT_CLOSURE_CAP", 3)
+    monkeypatch.setattr(Z4, "_mul", forbidden)
+    elems = [Z4.element(p) for p in range(4)]
+    with pytest.raises(CapExceeded, match="support of 4 atoms exceeds the table budget of 3"):
+        build_support_table(elems)
+    with pytest.raises(AssertionError, match="a product was computed"):
+        build_support_table(elems[:3])
+
+
+# ---------------------------------------------------------------------------
+# The generator-built table against the row-major scan
+
+
+def row_major_table(elements):
+    """Reference: every product of the support, one row at a time."""
+    elems = list(elements)
+    e = elems[0].group.identity()
+    elems.insert(0, elems.pop(elems.index(e)))
+    index = {}
+    for i, el in enumerate(elems):
+        index.setdefault(el, i)
+    mult = []
+    for gj in elems:
+        row = []
+        for gk in elems:
+            idx = index.get(gj * gk)
+            if idx is None:
+                raise NotClosed(f"{gj} * {gk} = {gj * gk} escapes the support")
+            row.append(idx)
+        mult.append(tuple(row))
+    return SupportTable(tuple(elems), tuple(mult), tuple(row.index(0) for row in mult))
+
+
+S4 = load_perm("perm 4\n(0 1)\n(0 1 2 3)\n")
+A5 = load_perm("perm 5\n(0 1 2)\n(0 1 2 3 4)\n")
+S5 = load_perm("perm 5\n(0 1)\n(0 1 2 3 4)\n")
+S5_ELEMENTS = enumerate_group(S5)
+GRIG = GrigorchukGroup()
+LADDER = ("a d", "a c", "a b", "b c ada", "b c abacaba", "d ada cabac")
+
+
+def test_table_matches_the_row_major_scan_on_catalog_subgroups():
+    for name in builtin_names():
+        group = builtin_group(name)
+        for sub in subgroups_of(group):
+            elems = [group.element(i) for i in sub]
+            assert build_support_table(elems) == row_major_table(elems), (name, sub)
+
+
+@pytest.mark.parametrize("group", [S4, A5, S5], ids=["S4", "A5", "S5"])
+def test_table_matches_the_row_major_scan_on_permutation_groups(group):
+    elems = enumerate_group(group)
+    assert build_support_table(elems) == row_major_table(elems)
+
+
+@pytest.mark.parametrize("gens, order", zip(LADDER, (8, 16, 32, 64, 128, 256)), ids=LADDER)
+def test_table_matches_the_row_major_scan_on_the_grigorchuk_ladder(gens, order):
+    elems = closure(GRIG, [GRIG.element(w) for w in gens.split()], cap=600)
+    assert len(elems) == order
+    assert build_support_table(elems) == row_major_table(elems)
+
+
+@seed(20241)
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    st.lists(st.sampled_from(S5_ELEMENTS), min_size=1, max_size=3),
+    st.randoms(use_true_random=False),
+)
+def test_table_matches_the_row_major_scan_on_random_s5_subgroups(gens, rng):
+    elems = list(closure(S5, gens))
+    rng.shuffle(elems)
+    elems += elems[: rng.randint(0, 2)]  # repeated atoms share an index
+    assert build_support_table(elems) == row_major_table(elems)
+
+
+@seed(20241)
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.lists(st.sampled_from(S5_ELEMENTS[1:]), min_size=1, max_size=30, unique=True))
+def test_open_s5_subsets_name_the_reference_escaping_product(others):
+    elems = [S5.identity(), *others]
+    try:
+        expected = row_major_table(elems)
+    except NotClosed as exc:
+        with pytest.raises(NotClosed) as err:
+            build_support_table(elems)
+        assert str(err.value) == str(exc)
+    else:
+        assert build_support_table(elems) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -202,25 +202,38 @@ def test_shifted_subgroup_uniform_is_regular():
 
 
 @pytest.mark.parametrize(
-    "payloads, expected",
-    [
-        # identity first: moore_penrose alone (inverse check, mp, two mp checks)
-        ((0, 2), 8),
-        # translated coset: the normalization and its inverse check come first
-        ((1, 3), 11),
-    ],
+    "payloads, normalizations",
+    [((0, 2), 0), ((1, 3), 1)],
+    ids=["identity-first", "translated-coset"],
 )
-def test_each_certificate_identity_is_convolved_once(monkeypatch, payloads, expected):
-    calls = []
+def test_each_certificate_identity_is_checked_once_on_the_table(
+    monkeypatch, payloads, normalizations
+):
+    # The only measure convolution is the translation normalization; the
+    # three certificate identities take two table convolutions each.
+    calls = {"convolve": 0, "table": 0}
+    table_convolve = convreg.regularity._table_convolve
 
     def counting(mu, nu):
-        calls.append(1)
+        calls["convolve"] += 1
         return convolve(mu, nu)
 
+    def counting_table(a, b, mult):
+        calls["table"] += 1
+        return table_convolve(a, b, mult)
+
+    def forbidden(*args):
+        raise AssertionError("the certificate was checked by measure convolution")
+
     monkeypatch.setattr(convreg.regularity, "convolve", counting)
+    monkeypatch.setattr(convreg.regularity, "_table_convolve", counting_table)
+    monkeypatch.setattr(convreg.regularity, "moore_penrose", forbidden)
+    monkeypatch.setattr(convreg.regularity, "is_generalized_inverse", forbidden)
     mu = Measure(Z4, [(Z4.element(p), F(1, 2)) for p in payloads])
-    assert decide_regular(mu).status == "regular"
-    assert len(calls) == expected
+    cert = decide_regular(mu).certificate
+    assert calls == {"convolve": normalizations, "table": 6}
+    monkeypatch.undo()
+    assert moore_penrose(mu, cert.ginverse) == cert.moore_penrose
 
 
 def test_inverse_failing_revalidation_is_an_invalid_certificate(monkeypatch):
@@ -230,17 +243,22 @@ def test_inverse_failing_revalidation_is_an_invalid_certificate(monkeypatch):
         decide_regular(uniform_on(Z4, [Z4.element(2)]))
 
 
-def test_moore_penrose_failing_revalidation_is_an_invalid_certificate(monkeypatch):
-    # moore_penrose convolves mu * nu * mu first, then builds mp = (nu * mu) * nu
-    # with the fourth call; hand out a point mass there, so mp * mu * mp != mp.
-    calls = []
-
-    def convolve_with_wrong_mp(left, right):
-        calls.append(None)
-        return dirac(Z4.element(0)) if len(calls) == 4 else convolve(left, right)
-
-    monkeypatch.setattr(convreg.regularity, "convolve", convolve_with_wrong_mp)
-    with pytest.raises(CertificateInvalid, match=r"mp \* mu \* mp != mp"):
+@pytest.mark.parametrize(
+    "wrong_mp, message",
+    [
+        # On the subgroup {0, 2}: dirac(0) passes mu * mp * mu == mu only.
+        (0, r"mp \* mu \* mp != mp"),
+        # dirac(1) lies off the subgroup, so mu * mp * mu leaves it too.
+        (1, r"mu \* mp \* mu != mu"),
+    ],
+)
+def test_corrupted_moore_penrose_is_an_invalid_certificate(monkeypatch, wrong_mp, message):
+    # The closed form builds mp as the two-sided translate of mu by the
+    # issued inverse; hand out a wrong point mass there.
+    monkeypatch.setattr(
+        convreg.regularity, "translate", lambda mu, g, h: dirac(Z4.element(wrong_mp))
+    )
+    with pytest.raises(CertificateInvalid, match=message):
         decide_regular(uniform_on(Z4, [Z4.element(2)]))
 
 
