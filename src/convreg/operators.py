@@ -21,19 +21,22 @@ every row and column is a permutation of ``alpha``.
 group products and fills the rest by index arithmetic.  It picks generators
 greedily, each the least index not yet reached, and computes for each
 generator ``s_t`` the right-multiplication column ``col_t[j] = index(g_j s_t)``:
-``n`` products a generator.  A breadth-first search reaches every other atom
-as ``g_k = g_p s_t`` with ``p`` reached before ``k``, and then
-``mult[j][k] = col_t[mult[j][p]]`` for every ``j``.  At most ``log2(n)``
-generators are picked, because each enlarges the subgroup reached so far to
-at least twice its order.
+``n`` products a generator.  A breadth-first search from ``e`` by right
+products with the generators reaches every other atom as ``g_k = g_p s_t``
+with ``p`` reached before ``k``, and then ``mult[j][k] = col_t[mult[j][p]]``
+for every ``j``.
 
 Proof of the closure test.  Suppose every column product lies in the support
-``K``.  Induct along the search order: ``g_j g_0 = g_j`` is in ``K``, and if
-``g_j g_p`` is in ``K`` then, by associativity, ``g_j g_k = (g_j g_p) s_t`` is
-an entry of ``col_t`` and so in ``K``.  Every atom is reached, because each
-unreached atom is made a generator (``e s = s``), so ``K`` is closed and the
-fill is its table.  Conversely an escaping column product is a product of two
-atoms outside ``K``; the row-major scan then names the first such product.
+``K``.  The reached set is the monoid the generators generate, and it lies
+in ``K``; every atom is reached, because each atom not yet reached is made a
+generator (``e s = s``).  Induct along the search order: ``g_j g_0 = g_j`` is
+in ``K``, and if ``g_j g_p`` is in ``K`` then, by associativity,
+``g_j g_k = (g_j g_p) s_t`` is an entry of ``col_t`` and so in ``K``.  Hence
+``K`` is closed and the fill is its table.  Conversely an escaping column
+product is a product of two atoms that lies outside ``K``; the row-major
+scan then names the first such product.  A finite monoid inside a group is a subgroup
+(the inverse of ``s`` is a power of ``s``), so each new generator at least
+doubles the order of the reached subgroup and at most ``log2(n)`` are picked.
 
 :func:`~convreg.regularity.decide_regular` builds the table of every
 normalized support it decides: building it is the verdict's closure test,
@@ -131,18 +134,13 @@ def _columns_from_generators(
         if None in column:
             return None
         gen_columns.append(column)
-        frontier = order[:]
-        while frontier:
-            new = []
-            for p in frontier:
-                for t, col in enumerate(gen_columns):
-                    k = col[p]
-                    if not reached[k]:
-                        reached[k] = True
-                        tree[k] = (p, t)
-                        new.append(k)
-            order += new
-            frontier = new
+        for p in order:  # also visits the atoms appended below
+            for t, col in enumerate(gen_columns):
+                k = col[p]
+                if not reached[k]:
+                    reached[k] = True
+                    tree[k] = (p, t)
+                    order.append(k)
     columns: list[list[int] | None] = [None] * n
     columns[0] = rep
     for k in order[1:]:

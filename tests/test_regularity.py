@@ -251,6 +251,7 @@ def test_inverse_failing_revalidation_is_an_invalid_certificate(monkeypatch):
         # dirac(1) lies off the subgroup, so mu * mp * mu leaves it too.
         (1, r"mu \* mp \* mu != mu"),
     ],
+    ids=["inside-the-subgroup", "off-the-subgroup"],
 )
 def test_corrupted_moore_penrose_is_an_invalid_certificate(monkeypatch, wrong_mp, message):
     # The closed form builds mp as the two-sided translate of mu by the
