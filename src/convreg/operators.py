@@ -104,8 +104,10 @@ def build_support_table(elements: Sequence[GroupElement]) -> SupportTable:
     rep = [index.setdefault(el, i) for i, el in enumerate(elems)]
     columns = _columns_from_generators(elems, index, rep)
     if columns is None:
-        # Some product escapes, so the row-major scan finds a first one.
-        gj, gk = next((gj, gk) for gj in elems for gk in elems if gj * gk not in index)
+        # Some product escapes, so the row-major scan finds a first one; it
+        # skips row and column 0, whose products with e cannot escape.
+        rest = elems[1:]
+        gj, gk = next((gj, gk) for gj in rest for gk in rest if gj * gk not in index)
         raise NotClosed(f"{gj} * {gk} = {gj * gk} escapes the support")
     mult = tuple(zip(*columns))
     # A finite closed set containing e is a subgroup, so every row holds e.
@@ -122,12 +124,11 @@ def _columns_from_generators(
     """
     n = len(elems)
     gen_columns: list[list[int]] = []
-    tree: list[tuple[int, int] | None] = [None] * n  # k -> (p, t): g_k = g_p s_t
-    reached = [False] * n
-    reached[0] = True
+    columns: list[list[int] | None] = [None] * n
+    columns[0] = rep
     order = [0]
     for g in range(n):
-        if reached[rep[g]]:
+        if columns[rep[g]] is not None:
             continue
         s = elems[g]
         column = [index.get(x * s) for x in elems]
@@ -135,17 +136,11 @@ def _columns_from_generators(
             return None
         gen_columns.append(column)
         for p in order:  # also visits the atoms appended below
-            for t, col in enumerate(gen_columns):
+            for col in gen_columns:
                 k = col[p]
-                if not reached[k]:
-                    reached[k] = True
-                    tree[k] = (p, t)
+                if columns[k] is None:  # g_k = g_p s, so mult[j][k] = col[mult[j][p]]
+                    columns[k] = list(map(col.__getitem__, columns[p]))
                     order.append(k)
-    columns: list[list[int] | None] = [None] * n
-    columns[0] = rep
-    for k in order[1:]:
-        p, t = tree[k]
-        columns[k] = list(map(gen_columns[t].__getitem__, columns[p]))
     return [columns[r] for r in rep]
 
 
