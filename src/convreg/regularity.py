@@ -36,9 +36,9 @@ The decision procedure:
    row-major canonical order being the witness;
 3. otherwise the measure is regular exactly when its weights are all equal;
 4. the certificate ``nu = dirac(x^{-1})`` and the Moore-Penrose inverse
-   ``mp = nu * mu * nu``, a two-sided translate built with ``|mu|`` group
-   products, are re-validated by exact integer convolution over the table
-   before they are issued.  With ``N = dirac(x^{-1}) * mu`` on the table and
+   ``mp = nu * mu * nu``, a two-sided translate that merges no atoms, are
+   re-validated by exact integer convolution over the table before they are
+   issued.  With ``N = dirac(x^{-1}) * mu`` on the table and
    ``r~ = r * dirac(x)`` for a measure ``r``, ``mu * r * mu = dirac(x) *
    (N * r~ * N)``, so ``mu * r * mu = mu`` exactly when ``N * r~ * N = N``,
    and ``mp * mu * mp = mp`` exactly when ``mp~ * N * mp~ = mp~``.  When
