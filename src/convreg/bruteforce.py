@@ -2,7 +2,7 @@
 
 This is the ground-truth oracle used to cross-check the closed-form engine:
 it knows nothing about cosets or operator matrices and tests
-``mu * nu * mu = mu`` for every candidate by direct convolution.
+``mu * nu * mu = mu`` exactly for every candidate on a grid.
 
 Candidates are Farey-style rational compositions: for each denominator
 ``q = 1..max_denominator`` every weight vector ``(k_1/q, …, k_m/q)`` with
@@ -14,16 +14,31 @@ and are skipped.
 
 Each candidate is tested in scaled integers, which is exact.  Let ``D`` be
 the least common multiple of ``mu``'s weight denominators, so ``a = D mu``
-has integer weights, and write the candidate as ``nu = k / q``.  Convolution
-is bilinear, so ``(q D^2) (mu * nu * mu) = a * k * a``, and
-``mu * nu * mu = mu`` holds exactly when the integer convolution
-``a * k * a`` equals ``q D a`` element by element.  Only the returned hit is
-built as a :class:`~convreg.measures.Measure`.
+has integer weights, and write the candidate on the universe
+``u_1, …, u_m`` as ``nu = k / q``.  Convolution is bilinear, so::
+
+    (q D^2) (mu * nu * mu) = a * k * a = sum_i k_i c_i,   c_i = a * δ(u_i) * a,
+
+and ``mu * nu * mu = mu`` holds exactly when ``sum_i k_i c_i`` equals
+``q D a`` element by element (zero off the support of ``mu``).  The ``m``
+integer columns ``c_i`` are convolved once per call: at most
+``m |S| (|S| + 1)`` group products for the support ``S`` of ``mu``, whatever
+``max_denominator`` is and however many candidates are tested.  After that a
+candidate costs integer arithmetic only.
+
+Every column is laid out over one fixed index list (the support of ``mu``
+first, then every other element some column reaches) as a single integer
+with one ``w``-bit field per index.  Each column sums to ``D^2`` and the
+``k_i`` sum to ``q``, so no entry of ``sum_i k_i c_i`` or of ``q D a``
+exceeds ``q D^2``.  With ``2^w > max_denominator D^2`` no field carries into
+the next, and the packed sums are equal exactly when every entry is.  Only
+the returned hit is built as a :class:`~convreg.measures.Measure`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -44,12 +59,20 @@ DEFAULT_MAX_CANDIDATES = 2_000_000
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """Nonnegative integer compositions in reverse-lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    comp = [total] + [0] * (parts - 1)
+    while True:
+        yield tuple(comp)
+        # The successor moves one unit from the rightmost nonzero part before
+        # the last into the next part, together with the whole last part.
+        i = parts - 2
+        while i >= 0 and not comp[i]:
+            i -= 1
+        if i < 0:
+            return
+        rest = comp[-1]
+        comp[-1] = 0
+        comp[i] -= 1
+        comp[i + 1] = rest + 1
 
 
 def _int_convolve(
@@ -109,12 +132,21 @@ def brute_force_ginverse(
         )
     scale = math.lcm(*(w.denominator for _, w in mu.atoms))
     scaled = [(el, w.numerator * (scale // w.denominator)) for el, w in mu.atoms]
+    # Each column a * δ(u) * a, packed over one index list: the support of mu,
+    # then every new element a column reaches (see the module docstring).
+    width = (max_denominator * scale * scale).bit_length()
+    index = {el: j for j, (el, _) in enumerate(scaled)}
+    columns = []
+    for u in universe:
+        col = _int_convolve([(x * u, a) for x, a in scaled], scaled)
+        columns.append(sum(c << width * index.setdefault(el, len(index)) for el, c in col.items()))
+    target = scale * sum(a << width * j for j, (_, a) in enumerate(scaled))
     for q in range(1, max_denominator + 1):
-        target = {el: q * scale * a for el, a in scaled}
+        goal = q * target
         for parts in _compositions(q, m):
             if math.gcd(q, *parts) > 1:
                 continue  # already tested with a smaller denominator
-            k = [(universe[i], c) for i, c in enumerate(parts) if c > 0]
-            if _int_convolve(_int_convolve(scaled, k).items(), scaled) == target:
-                return Measure(mu.group, [(el, Fraction(c, q)) for el, c in k])
+            if sum(map(operator.mul, parts, columns)) == goal:
+                atoms = [(universe[i], Fraction(c, q)) for i, c in enumerate(parts) if c > 0]
+                return Measure(mu.group, atoms)
     return None

@@ -24,6 +24,7 @@ from convreg import (
 )
 from convreg.bruteforce import _compositions
 from convreg.errors import UniverseTooLarge
+from convreg.groups import GroupElement
 
 Z2 = load_cayley("cayley 2\n0 1\n1 0\n")
 Z4 = load_cayley("cayley 4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n")
@@ -103,6 +104,29 @@ def test_budgets_are_enforced():
         brute_force_ginverse(mu, 50, enumerate_group(Z4), max_candidates=100)
     with pytest.raises(ValueError):
         brute_force_ginverse(mu, 0, enumerate_group(Z4))
+
+
+def test_group_products_are_fixed_per_call(monkeypatch):
+    # A non-regular measure walks the whole grid, so only the columns built
+    # once per call may multiply group elements, whatever the denominator.
+    mu = Measure(Z4, [(Z4.element(i), F(2 if i == 0 else 1, 5)) for i in range(4)])
+    universe = candidate_universe(mu)
+    products = 0
+    mul = GroupElement.__mul__
+
+    def counting_mul(self, other):
+        nonlocal products
+        products += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(GroupElement, "__mul__", counting_mul)
+    counts = []
+    for max_denominator in (2, 8):
+        products = 0
+        assert brute_force_ginverse(mu, max_denominator, universe) is None
+        counts.append(products)
+    m, s = len(universe), len(mu.atoms)
+    assert counts[0] == counts[1] <= m * s * (s + 1)
 
 
 # ---------------------------------------------------------------------------
