@@ -52,6 +52,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    """An argparse ``type`` for integers >= 1; rejections become usage errors."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _read(path: str) -> str:
     with open(path, "r", encoding="ascii") as fh:
         return fh.read()
@@ -208,7 +219,7 @@ def _build_parser() -> _Parser:
     p.add_argument("measure", help="measure file")
     p.add_argument(
         "--max-denominator",
-        type=int,
+        type=_positive_int,
         default=8,
         metavar="D",
         help="largest candidate weight denominator (default 8)",

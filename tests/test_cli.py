@@ -125,6 +125,20 @@ def test_ginverse_not_found(files, capsys):
     assert "no generalized inverse" in out
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_ginverse_rejects_a_max_denominator_below_one(files, capsys, value):
+    code, out, err = run(capsys, "ginverse", files["z2"], files["uniform"], "--max-denominator", value)
+    assert code == 1
+    assert out == ""
+    assert err.endswith(f"error: argument --max-denominator: must be >= 1, got {value}\n")
+
+
+def test_ginverse_non_integer_max_denominator_keeps_the_int_wording(files, capsys):
+    code, _, err = run(capsys, "ginverse", files["z2"], files["uniform"], "--max-denominator", "x")
+    assert code == 1
+    assert err.endswith("error: argument --max-denominator: invalid int value: 'x'\n")
+
+
 def test_ginverse_json(files, capsys):
     code, out, _ = run(capsys, "ginverse", files["z2"], files["uniform"], "--json")
     assert code == 0
