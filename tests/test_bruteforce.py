@@ -39,6 +39,12 @@ def test_composition_order_is_reverse_lexicographic():
         (0, 1, 1),
         (0, 0, 2),
     ]
+    # Reverse-lexicographic is descending tuple order over all compositions.
+    for total in range(6):
+        for parts in range(1, 5):
+            every = itertools.product(range(total + 1), repeat=parts)
+            expected = sorted((c for c in every if sum(c) == total), reverse=True)
+            assert list(_compositions(total, parts)) == expected
 
 
 def test_candidate_universe_with_identity_atom_is_the_support():
