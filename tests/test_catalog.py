@@ -57,9 +57,49 @@ def test_d4_structure():
     assert orders == [1, 2, 2, 2, 2, 2, 4, 4]
 
 
-def test_d4_table_text_is_pinned():
-    # Elements are the square's symmetries as image tuples in sorted order.
-    assert cayley_text("D4") == (
+# Literal file texts: the golden corpora and the benchmark index elements by
+# these tables, so any change to a row or to the element order shows here.
+PINNED_TEXTS = {
+    "Z2": (
+        "# Z2\n"
+        "cayley 2\n"
+        "0 1\n"
+        "1 0\n"
+    ),
+    "Z3": (
+        "# Z3\n"
+        "cayley 3\n"
+        "0 1 2\n"
+        "1 2 0\n"
+        "2 0 1\n"
+    ),
+    "Z4": (
+        "# Z4\n"
+        "cayley 4\n"
+        "0 1 2 3\n"
+        "1 2 3 0\n"
+        "2 3 0 1\n"
+        "3 0 1 2\n"
+    ),
+    "V4": (
+        "# V4\n"
+        "cayley 4\n"
+        "0 1 2 3\n"
+        "1 0 3 2\n"
+        "2 3 0 1\n"
+        "3 2 1 0\n"
+    ),
+    "S3": (
+        "# S3\n"
+        "cayley 6\n"
+        "0 1 2 3 4 5\n"
+        "1 0 4 5 2 3\n"
+        "2 3 0 1 5 4\n"
+        "3 2 5 4 0 1\n"
+        "4 5 1 0 3 2\n"
+        "5 4 3 2 1 0\n"
+    ),
+    "D4": (
         "# D4\n"
         "cayley 8\n"
         "0 1 2 3 4 5 6 7\n"
@@ -70,7 +110,25 @@ def test_d4_table_text_is_pinned():
         "5 4 7 6 1 0 3 2\n"
         "6 7 1 0 2 3 5 4\n"
         "7 6 5 4 3 2 1 0\n"
-    )
+    ),
+    "Q8": (
+        "# Q8\n"
+        "cayley 8\n"
+        "0 1 2 3 4 5 6 7\n"
+        "1 0 3 2 5 4 7 6\n"
+        "2 3 1 0 6 7 5 4\n"
+        "3 2 0 1 7 6 4 5\n"
+        "4 5 7 6 1 0 2 3\n"
+        "5 4 6 7 0 1 3 2\n"
+        "6 7 4 5 3 2 1 0\n"
+        "7 6 5 4 2 3 0 1\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_TEXTS))
+def test_table_text_is_pinned(name):
+    assert cayley_text(name) == PINNED_TEXTS[name]
 
 
 def test_subgroup_counts():
