@@ -2,14 +2,15 @@
 
 Desk-scale reference groups for tests and demos: cyclic groups, the Klein
 four-group, the symmetric group on three points, the dihedral group of the
-square, and the quaternion group.  Each is exposed both as loadable file text
+square, and the quaternion group, each generated by a few permutations and
+tabulated from their closure.  Each is exposed both as loadable file text
 (:func:`cayley_text`) and as a ready :class:`~convreg.groups.CayleyGroup`
 (:func:`builtin_group`).  Identity is always index 0.
 """
 
 from __future__ import annotations
 
-from .groups import CayleyGroup, PermGroup, load_cayley
+from .groups import CayleyGroup, enumerate_group, load_cayley, load_perm
 
 __all__ = [
     "builtin_names",
@@ -18,13 +19,20 @@ __all__ = [
     "subgroups_of",
 ]
 
-
-def _cyclic(n: int) -> list[list[int]]:
-    return [[(i + j) % n for j in range(n)] for i in range(n)]
-
-
-def _klein() -> list[list[int]]:
-    return [[i ^ j for j in range(4)] for i in range(4)]
+# name -> (degree, generators in cycle notation).  Each element is indexed by
+# the rank of its image tuple.  In the regular actions (Z_n, V4, Q8) the image
+# tuple of g starts with g, so index g is g itself: addition mod n, XOR, and
+# for Q8 index 2*unit + sign bit over the units 1, i, j, k, whose generators
+# are left multiplication by i and j.
+_GENERATORS = {
+    "Z2": (2, "(0 1)"),
+    "Z3": (3, "(0 1 2)"),
+    "Z4": (4, "(0 1 2 3)"),
+    "V4": (4, "(0 1)(2 3)", "(0 2)(1 3)"),
+    "S3": (3, "(0 1)", "(0 1 2)"),
+    "D4": (4, "(0 1 2 3)", "(0 3)(1 2)"),  # rotation, flip
+    "Q8": (8, "(0 2 1 3)(4 6 5 7)", "(0 4 1 5)(2 7 3 6)"),
+}
 
 
 def _from_perms(perms: list[tuple[int, ...]]) -> list[list[int]]:
@@ -38,63 +46,19 @@ def _from_perms(perms: list[tuple[int, ...]]) -> list[list[int]]:
     return table
 
 
-def _sym3() -> list[list[int]]:
-    from itertools import permutations
-
-    return _from_perms([tuple(p) for p in permutations(range(3))])
-
-
-def _dihedral4() -> list[list[int]]:
-    square = PermGroup(4, [(1, 2, 3, 0), (3, 2, 1, 0)])  # rotation, flip
-    return _from_perms([el.payload for el in square.enumerate_elements(8)])
-
-
-def _quaternion() -> list[list[int]]:
-    # Element i encodes sign (i & 1: minus) and unit (i >> 1): 1, i, j, k.
-    unit_mul = {
-        (0, 0): (0, 1), (0, 1): (1, 1), (0, 2): (2, 1), (0, 3): (3, 1),
-        (1, 0): (1, 1), (2, 0): (2, 1), (3, 0): (3, 1),
-        (1, 1): (0, -1), (2, 2): (0, -1), (3, 3): (0, -1),
-        (1, 2): (3, 1), (2, 1): (3, -1),
-        (2, 3): (1, 1), (3, 2): (1, -1),
-        (3, 1): (2, 1), (1, 3): (2, -1),
-    }
-    n = 8
-    table = []
-    for x in range(n):
-        row = []
-        for y in range(n):
-            ux, sx = x >> 1, -1 if x & 1 else 1
-            uy, sy = y >> 1, -1 if y & 1 else 1
-            uz, sz = unit_mul[(ux, uy)]
-            sign = sx * sy * sz
-            row.append(uz * 2 + (0 if sign > 0 else 1))
-        table.append(row)
-    return table
-
-
-_BUILDERS = {
-    "Z2": lambda: _cyclic(2),
-    "Z3": lambda: _cyclic(3),
-    "Z4": lambda: _cyclic(4),
-    "V4": _klein,
-    "S3": _sym3,
-    "D4": _dihedral4,
-    "Q8": _quaternion,
-}
-
-
 def builtin_names() -> tuple[str, ...]:
     """Names of the built-in groups, smallest first."""
-    return ("Z2", "Z3", "Z4", "V4", "S3", "D4", "Q8")
+    return tuple(_GENERATORS)
 
 
 def cayley_text(name: str) -> str:
     """Group-file text (``cayley <n>`` header plus table rows)."""
     try:
-        table = _BUILDERS[name]()
+        degree, *generators = _GENERATORS[name]
     except KeyError:
         raise KeyError(f"unknown built-in group {name!r}; pick from {builtin_names()}") from None
+    group = load_perm("\n".join([f"perm {degree}", *generators]))
+    table = _from_perms([el.payload for el in enumerate_group(group)])
     lines = [f"# {name}", f"cayley {len(table)}"]
     lines += [" ".join(str(v) for v in row) for row in table]
     return "\n".join(lines) + "\n"

@@ -33,7 +33,7 @@ from .groups import (
     closure,
     load_group,
 )
-from .measures import Measure, format_weight, load_measure, uniform_on
+from .measures import Measure, format_weight, load_measure, measure_to_json, uniform_on
 from .regularity import Verdict, decide_regular, probe_uniform_subsets
 
 __all__ = ["main"]
@@ -52,15 +52,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    """An argparse ``type`` for integers >= 1; rejections become usage errors."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse ``type`` for integers >= ``low``; rejections become usage errors."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _read(path: str) -> str:
@@ -122,8 +126,6 @@ def _cmd_ginverse(args: argparse.Namespace) -> int:
     universe = candidate_universe(mu)
     nu = brute_force_ginverse(mu, args.max_denominator, universe)
     if args.json:
-        from .measures import measure_to_json
-
         print(
             json.dumps(
                 {
@@ -219,7 +221,7 @@ def _build_parser() -> _Parser:
     p.add_argument("measure", help="measure file")
     p.add_argument(
         "--max-denominator",
-        type=_positive_int,
+        type=_int_at_least(1),
         default=8,
         metavar="D",
         help="largest candidate weight denominator (default 8)",
@@ -238,7 +240,7 @@ def _build_parser() -> _Parser:
     p.add_argument("elements", nargs="+", metavar="element")
     p.add_argument(
         "--max",
-        type=int,
+        type=_int_at_least(1),
         default=DEFAULT_CLOSURE_CAP,
         metavar="N",
         help=f"enumeration budget (default {DEFAULT_CLOSURE_CAP})",
@@ -251,7 +253,7 @@ def _build_parser() -> _Parser:
     p.add_argument("element")
     p.add_argument(
         "--order-cap",
-        type=int,
+        type=_int_at_least(1),
         default=DEFAULT_ORDER_CAP,
         metavar="K",
         help=f"largest exponent tried (default {DEFAULT_ORDER_CAP})",
@@ -263,14 +265,14 @@ def _build_parser() -> _Parser:
     p.add_argument("group", help="group file")
     p.add_argument(
         "--max-set-size",
-        type=int,
+        type=_int_at_least(0),
         default=2,
         metavar="K",
         help="largest surveyed subset size (default 2)",
     )
     p.add_argument(
         "--max",
-        type=int,
+        type=_int_at_least(1),
         default=DEFAULT_CLOSURE_CAP,
         metavar="N",
         help=f"group enumeration budget (default {DEFAULT_CLOSURE_CAP})",

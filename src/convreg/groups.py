@@ -477,11 +477,10 @@ def load_perm(text: str) -> PermGroup:
         degree = int(tokens[1])
     except ValueError:
         raise ParseError(f"bad degree {tokens[1]!r}", lineno) from None
-    group = PermGroup(degree)
     gens = []
     for lineno, line in lines[1:]:
         try:
-            gens.append(group.parse_element(line).payload)
+            gens.append(_parse_cycles(line, degree))
         except ParseError as exc:
             raise ParseError(str(exc), lineno) from None
     return PermGroup(degree, gens)

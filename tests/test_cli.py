@@ -126,14 +126,36 @@ def test_ginverse_not_found(files, capsys):
 
 
 @pytest.mark.parametrize(
-    "value, message",
-    [("0", "must be >= 1, got 0"), ("-3", "must be >= 1, got -3"), ("x", "invalid int value: 'x'")],
+    "command, option, value, message",
+    [
+        pytest.param(
+            "ginverse", "--max-denominator", "0", "must be >= 1, got 0", id="0-must be >= 1, got 0"
+        ),
+        pytest.param(
+            "ginverse", "--max-denominator", "-3", "must be >= 1, got -3", id="-3-must be >= 1, got -3"
+        ),
+        pytest.param(
+            "ginverse", "--max-denominator", "x", "invalid int value: 'x'", id="x-invalid int value: 'x'"
+        ),
+        pytest.param("probe", "--max-set-size", "-1", "must be >= 0, got -1", id="probe-max-set-size"),
+        pytest.param("probe", "--max", "-2", "must be >= 1, got -2", id="probe-max"),
+        pytest.param("closure", "--max", "0", "must be >= 1, got 0", id="closure-max"),
+        pytest.param("order", "--order-cap", "-1", "must be >= 1, got -1", id="order-cap"),
+    ],
 )
-def test_ginverse_bad_max_denominator_is_a_usage_error(files, capsys, value, message):
-    code, out, err = run(capsys, "ginverse", files["z2"], files["uniform"], "--max-denominator", value)
+def test_ginverse_bad_max_denominator_is_a_usage_error(
+    files, capsys, command, option, value, message
+):
+    positional = {
+        "ginverse": [files["z2"], files["uniform"]],
+        "probe": [files["z4"]],
+        "closure": [files["s3"], "(0 1)"],
+        "order": [files["z4"], "1"],
+    }[command]
+    code, out, err = run(capsys, command, *positional, option, value)
     assert code == 1
     assert out == ""
-    assert err.endswith(f"error: argument --max-denominator: {message}\n")
+    assert err.endswith(f"error: argument {option}: {message}\n")
 
 
 def test_ginverse_json(files, capsys):
