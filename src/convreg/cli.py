@@ -68,7 +68,9 @@ def _int_at_least(low: int):
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="ascii") as fh:
+    # A non-ASCII byte decodes to a lone surrogate, which the parser's
+    # content_lines rejects as a ParseError naming its line.
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         return fh.read()
 
 

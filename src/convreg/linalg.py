@@ -1,13 +1,18 @@
 """Exact linear algebra over the rationals.
 
-Everything here works on ``fractions.Fraction`` entries — no floating point —
-so solutions are exact and deterministic.  No verdict depends on this module:
-the regularity engine uses it only for the exact equality-system diagnostic of
-a small closed support with unequal weights.
+Matrices hold ``fractions.Fraction`` entries and results are ``Fraction``s —
+no floating point — so solutions are exact and deterministic.  The arithmetic
+itself runs on integers: each row (or column) is cleared of denominators once,
+scaling it by the lcm of its denominators, and only final entries are built as
+``Fraction``s.  No verdict depends on this module: the regularity engine uses
+it only for the exact equality-system diagnostic of a small closed support
+with unequal weights.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -54,15 +59,27 @@ class RationalMatrix:
         return tuple(row[j] for row in self.entries)
 
 
+def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``(ints, lcm)`` with ``values[k] == ints[k] / lcm``, ``lcm`` the lcm of
+    the denominators."""
+    lcm = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (lcm // v.denominator) for v in values], lcm
+
+
 def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     """Exact matrix product ``a @ b``."""
     if a.cols != b.rows:
         raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    bt = list(zip(*b.entries))
-    rows = [
-        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt)
-        for row in a.entries
-    ]
+    cols = [_cleared(col) for col in zip(*b.entries)]
+    rows = []
+    for row in a.entries:
+        ints, lcm = _cleared(row)
+        rows.append(
+            tuple(
+                Fraction(sum(map(operator.mul, ints, col_ints)), lcm * col_lcm)
+                for col_ints, col_lcm in cols
+            )
+        )
     return RationalMatrix(tuple(rows))
 
 
@@ -76,15 +93,24 @@ def mat_vec(a: RationalMatrix, v: Sequence[Fraction]) -> list[Fraction]:
 def gaussian_solve(
     a: RationalMatrix, b: Sequence[Fraction]
 ) -> tuple[str, list[Fraction] | None]:
-    """Solve ``a x = b`` exactly by Gaussian elimination.
+    """Solve ``a x = b`` exactly by Gauss-Jordan elimination.
 
     Returns one of ``("unique", x)``, ``("many", particular_x)`` or
-    ``("none", None)``.  Pivots are chosen deterministically (first nonzero).
+    ``("none", None)``; the particular solution sets every free variable to 0.
+    Pivots are chosen deterministically (first nonzero at or below the current
+    row).
+
+    The elimination is fraction-free: each augmented row is cleared to
+    integers, a row is eliminated as ``pivot * row - factor * pivot_row`` and
+    then divided by the gcd of its entries.  Every row stays a nonzero
+    multiple of the row rational elimination would hold, with the same zero
+    pattern, so the pivots, the kind and the solution are exactly the
+    rational ones.
     """
     if a.rows != len(b):
         raise DimensionMismatch(f"matrix has {a.rows} rows but rhs has {len(b)}")
     m, n = a.rows, a.cols
-    aug = [list(a.row(i)) + [Fraction(b[i])] for i in range(m)]
+    aug = [_cleared([*a.row(i), Fraction(b[i])])[0] for i in range(m)]
     pivot_cols: list[int] = []
     r = 0
     for col in range(n):
@@ -92,12 +118,14 @@ def gaussian_solve(
         if pivot is None:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][col]
-        aug[r] = [v / pv for v in aug[r]]
+        prow = aug[r]
+        pv = prow[col]
         for i in range(m):
-            if i != r and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [v - factor * w for v, w in zip(aug[i], aug[r])]
+            factor = aug[i][col]
+            if i != r and factor != 0:
+                row = [pv * v - factor * w for v, w in zip(aug[i], prow)]
+                g = math.gcd(*row)
+                aug[i] = [v // g for v in row] if g > 1 else row
         pivot_cols.append(col)
         r += 1
         if r == m:
@@ -107,5 +135,5 @@ def gaussian_solve(
             return "none", None
     x = [Fraction(0)] * n
     for i, col in enumerate(pivot_cols):
-        x[col] = aug[i][n]
+        x[col] = Fraction(aug[i][n], aug[i][col])
     return ("unique" if len(pivot_cols) == n else "many"), x

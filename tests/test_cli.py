@@ -97,6 +97,18 @@ def test_usage_error_exits_one_not_two(files, capsys):
     assert "usage" in err.lower() or "error" in err.lower()
 
 
+@pytest.mark.parametrize("which", ["z2", "uniform"])
+def test_non_ascii_byte_is_a_parse_error(files, capsys, which):
+    # A UTF-8 "é" inside a comment on line 2 of either input file.
+    path = Path(files[which])
+    first, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(first + b"\n# caf\xc3\xa9\n" + rest)
+    code, out, err = run(capsys, "check", files["z2"], files["uniform"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: line 2: non-printable or non-ASCII character '\\udcc3'\n"
+
+
 # ---------------------------------------------------------------------------
 # uniform / ginverse
 

@@ -2,20 +2,27 @@
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from convreg import (
+    GrigorchukGroup,
     Measure,
     brute_force_ginverse,
     builtin_group,
     builtin_names,
     candidate_universe,
+    closure,
     decide_regular,
+    decide_translated,
     enumerate_group,
 )
+from convreg.errors import ClosureBudgetExceeded, ConvregError
+from convreg.groups import load_perm
 
 GROUPS = {name: builtin_group(name) for name in builtin_names()}
 ELEMENTS = {name: enumerate_group(group) for name, group in GROUPS.items()}
+S4 = load_perm("perm 4\n(0 1)\n(0 1 2 3)\n")
 
 
 @st.composite
@@ -33,3 +40,55 @@ def small_measures(draw):
 def test_closed_form_agrees_with_brute_force_oracle(mu):
     regular = decide_regular(mu).status == "regular"
     assert regular == (brute_force_ginverse(mu, 8, candidate_universe(mu)) is not None)
+
+
+@st.composite
+def translated_measures(draw):
+    """``(mu, g, h)``: a measure of at most 8 atoms on a catalog group or S4,
+    and a translation pair.  Half the supports are cosets ``x H`` of a
+    subgroup of order at most 8, so that skewed weights reach the
+    equality-system diagnostic."""
+    group = draw(st.sampled_from([*(GROUPS[name] for name in sorted(GROUPS)), S4]))
+    elements = enumerate_group(group)
+    if draw(st.booleans()):
+        gens = draw(st.lists(st.sampled_from(elements), min_size=1, max_size=2))
+        try:
+            subgroup = closure(group, gens, cap=8)
+        except ClosureBudgetExceeded:
+            subgroup = closure(group, gens[:1])  # cyclic, of order at most 4 in S4
+        x = draw(st.sampled_from(elements))
+        atoms = [x * k for k in subgroup]
+    else:
+        atoms = draw(st.lists(st.sampled_from(elements), min_size=1, max_size=8, unique=True))
+    raw = draw(st.lists(st.integers(1, 3), min_size=len(atoms), max_size=len(atoms)))
+    mu = Measure(group, [(el, F(r, sum(raw))) for el, r in zip(atoms, raw)])
+    return mu, draw(st.sampled_from(elements)), draw(st.sampled_from(elements))
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(translated_measures())
+def test_translates_share_status_and_reason(case):
+    mu, g, h = case
+    base = decide_regular(mu)
+    translated = decide_translated(mu, g, h)
+    assert (translated.status, translated.reason) == (base.status, base.reason)
+
+
+GRIG = GrigorchukGroup()
+
+
+@pytest.mark.parametrize(
+    "capped",
+    [
+        pytest.param(
+            lambda: closure(GRIG, [GRIG.element("b"), GRIG.element("acac")], cap=5),
+            id="closure-infinite-b-acac",
+        ),
+        pytest.param(lambda: enumerate_group(GROUPS["Q8"], cap=5), id="enumerate-cayley"),
+    ],
+)
+def test_capped_loops_raise_at_a_small_cap(capped):
+    """Loops not already covered elsewhere: word_order, perm and word-backend
+    enumeration and both brute_force_ginverse budgets have their own tests."""
+    with pytest.raises(ConvregError, match="exceeds cap 5"):
+        capped()
