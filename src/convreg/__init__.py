@@ -9,9 +9,9 @@ generalized inverse and Moore-Penrose inverse.
 Group arithmetic comes from one of three backends (Cayley tables,
 permutations, or reduced words in the first Grigorchuk group).  The decision
 engine uses a closed form — a measure is regular exactly when it is uniform
-on a coset of a finite subgroup — and re-verifies every certificate by direct
-convolution; an independent brute-force grid search provides an oracle for
-cross-checking.
+on a coset of a finite subgroup — and re-verifies every certificate on the
+support table of the measure's subgroup; an independent brute-force grid
+search provides an oracle for cross-checking.
 
 This namespace re-exports what the demos, the README quick start and the
 acceptance tests import, plus :class:`ConvregError`; every other name imports

@@ -18,7 +18,6 @@ __all__ = [
     "ClosureBudgetExceeded",
     "CapExceeded",
     "UniverseTooLarge",
-    "NotAGInverse",
     "CertificateInvalid",
 ]
 
@@ -74,10 +73,6 @@ class ClosureBudgetExceeded(CapExceeded):
 
 class UniverseTooLarge(ConvregError):
     """Brute-force search space exceeds the configured enumeration budget."""
-
-
-class NotAGInverse(ConvregError):
-    """A claimed generalized inverse fails the defining identity."""
 
 
 class CertificateInvalid(ConvregError):

@@ -41,7 +41,8 @@ doubles the order of the reached subgroup and at most ``log2(n)`` are picked.
 :func:`~convreg.regularity.decide_regular` builds the table of every
 normalized support it decides: building it is the verdict's closure test,
 the product :class:`~convreg.errors.NotClosed` names is the witness, and a
-regular verdict's certificate is re-validated by integer convolution over it.
+regular verdict's certificate is re-validated on it, after a check that
+every row and every column of ``mult`` is a permutation.
 """
 
 from __future__ import annotations

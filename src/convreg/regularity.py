@@ -37,14 +37,33 @@ The decision procedure:
 3. otherwise the measure is regular exactly when its weights are all equal;
 4. the certificate ``nu = dirac(x^{-1})`` and the Moore-Penrose inverse
    ``mp = nu * mu * nu``, a two-sided translate that merges no atoms, are
-   re-validated by exact integer convolution over the table before they are
-   issued.  With ``N = dirac(x^{-1}) * mu`` on the table and
-   ``r~ = r * dirac(x)`` for a measure ``r``, ``mu * r * mu = dirac(x) *
-   (N * r~ * N)``, so ``mu * r * mu = mu`` exactly when ``N * r~ * N = N``,
-   and ``mp * mu * mp = mp`` exactly when ``mp~ * N * mp~ = mp~``.  When
-   ``r~`` has an atom off the subgroup ``K``, ``N * r~ * N`` has one too and
-   the check fails.  Weights are scaled to integers by the lcm of their
-   denominators.
+   re-validated on the table before they are issued.  With
+   ``N = dirac(x^{-1}) * mu`` on the table and ``r~ = r * dirac(x)`` for a
+   measure ``r``, ``mu * r * mu = dirac(x) * (N * r~ * N)``, so
+   ``mu * r * mu = mu`` exactly when ``N * r~ * N = N``, and
+   ``mp * mu * mp = mp`` exactly when ``mp~ * N * mp~ = mp~``.  Once every
+   row and every column of the table is checked to be a permutation of its
+   indices, each identity is an O(n) test, by this lemma.
+
+   Lemma.  Take such a table, let ``1`` be the all-ones vector on it (``N``
+   with its weights, equal by step 3, scaled to integers) and let ``r`` be a
+   nonnegative integer vector on the table with total ``s``.  Then
+   ``1 * r * 1 = s n 1`` and ``r * 1 * r = s^2 1``.
+
+   Proof.  Column ``k`` being a permutation gives ``1 * dirac(k) = 1``, and
+   row ``k`` being one gives ``dirac(k) * 1 = 1``.  By bilinearity
+   ``1 * r = r * 1 = s 1``, so ``1 * r * 1 = s (1 * 1) = s n 1`` and
+   ``r * 1 * r = s (r * 1) = s^2 1``.
+
+   Normalized to probability measures, ``N * r~ * N = N`` whenever ``r~``
+   lies on the table, and ``mp~ * N * mp~ = N``.  So the first two
+   identities hold exactly when ``nu~`` and ``mp~`` lie on the table: an atom
+   off the subgroup ``K`` makes ``N * r~ * N`` leave ``K`` too.  The third
+   holds exactly when ``mp~ = N``, which is compared with both weight vectors
+   scaled by the lcm of their denominators.  On a group table these checks
+   accept exactly the certificates that convolving out the three identities
+   accepts; a table that fails the permutation check can come only from a
+   bug, and no certificate is issued on it.
 
 A closed support with unequal weights gets a diagnostic ``detail``: on at
 most ``SYSTEM_DIAGNOSTIC_MAX_ATOMS`` atoms the exact solution of the equality
@@ -65,7 +84,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import CapExceeded, CertificateInvalid, NotAGInverse, NotClosed
+from .errors import CapExceeded, CertificateInvalid, NotClosed
 from .groups import DEFAULT_CLOSURE_CAP, Group, GroupElement, enumerate_group
 from .linalg import RationalMatrix, gaussian_solve, mat_mul
 from .measures import (
@@ -80,8 +99,6 @@ from .measures import (
 from .operators import SupportTable, build_support_table, left_operator, right_operator
 
 __all__ = [
-    "is_generalized_inverse",
-    "moore_penrose",
     "Certificate",
     "Verdict",
     "decide_regular",
@@ -97,28 +114,6 @@ SYSTEM_DIAGNOSTIC_MAX_ATOMS = 8
 
 #: Largest number of subsets :func:`probe_uniform_subsets` decides.
 PROBE_MAX_CASES = 100_000
-
-
-def is_generalized_inverse(mu: Measure, nu: Measure) -> bool:
-    """Whether ``mu * nu * mu = mu`` holds exactly."""
-    return convolve(convolve(mu, nu), mu) == mu
-
-
-def moore_penrose(mu: Measure, ginverse: Measure) -> Measure:
-    """Moore-Penrose inverse ``ginverse * mu * ginverse`` of a regular measure.
-
-    Raises NotAGInverse if ``ginverse`` is not actually a generalized inverse
-    and CertificateInvalid if either defining equation fails afterwards
-    (which would be an arithmetic bug, not a property of the input).
-    """
-    if not is_generalized_inverse(mu, ginverse):
-        raise NotAGInverse("mu * nu * mu != mu for the claimed inverse")
-    mp = convolve(convolve(ginverse, mu), ginverse)
-    if convolve(convolve(mu, mp), mu) != mu:
-        raise CertificateInvalid("mu * mp * mu != mu")
-    if convolve(convolve(mp, mu), mp) != mp:
-        raise CertificateInvalid("mp * mu * mp != mp")
-    return mp
 
 
 @dataclass(frozen=True)
@@ -211,27 +206,13 @@ def _on_table(
     return vector
 
 
-def _table_convolve(a: list[int], b: list[int], mult) -> list[int]:
-    """Convolution of integer weight vectors over a support table."""
-    out = [0] * len(a)
-    b_atoms = [(k, wk) for k, wk in enumerate(b) if wk]
-    for j, wj in enumerate(a):
-        if wj:
-            row = mult[j]
-            for k, wk in b_atoms:
-                out[row[k]] += wj * wk
-    return out
-
-
-def _reproduces(a: list[int], b: list[int] | None, mult) -> bool:
-    """Whether ``a * b * a == a`` for probability measures given as integer weights.
-
-    ``b`` is None when it has an atom off the table; then so does ``a * b * a``.
-    """
-    if b is None:
-        return False
-    scale = sum(a) * sum(b)
-    return _table_convolve(_table_convolve(a, b, mult), a, mult) == [v * scale for v in a]
+def _is_group_table(mult: Sequence[Sequence[int]]) -> bool:
+    """Whether every row and every column of ``mult`` is a permutation of its indices."""
+    n = len(mult)
+    indices = set(range(n))
+    return all(
+        len(line) == n and set(line) == indices for lines in (mult, zip(*mult)) for line in lines
+    )
 
 
 def decide_regular(mu: Measure) -> Verdict:
@@ -266,17 +247,17 @@ def decide_regular(mu: Measure) -> Verdict:
     ginverse = dirac(x if trivial else xinv)  # x keeps its own spelling (word backend)
     nu = ginverse.atoms[0][0]
     mp = translate(mu, nu, nu)
+    if not _is_group_table(table.mult):
+        raise CertificateInvalid("the support table is not the table of a subgroup")
     index = {el: i for i, el in enumerate(table.elements)}
-    base = _on_table(normalized.atoms, index)
-    nu_shifted = _on_table([(el * x, w) for el, w in ginverse.atoms], index)
-    mp_shifted = _on_table([(el * x, w) for el, w in mp.atoms], index)
-    if not _reproduces(base, nu_shifted, table.mult):
+    if nu * x not in index:
         raise CertificateInvalid(
             "the inverse failed re-validation: mu * nu * mu != mu for the claimed inverse"
         )
-    if not _reproduces(base, mp_shifted, table.mult):
+    mp_shifted = _on_table([(el * x, w) for el, w in mp.atoms], index)
+    if mp_shifted is None:
         raise CertificateInvalid("mu * mp * mu != mu")
-    if not _reproduces(mp_shifted, base, table.mult):
+    if mp_shifted != _on_table(normalized.atoms, index):
         raise CertificateInvalid("mp * mu * mp != mp")
     checks = {
         "support_closed": True,

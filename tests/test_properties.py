@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from convreg import (
     GrigorchukGroup,
@@ -19,6 +19,7 @@ from convreg import (
 )
 from convreg.errors import ClosureBudgetExceeded, ConvregError
 from convreg.groups import load_perm
+from convreg.measures import load_measure, measure_to_json
 
 GROUPS = {name: builtin_group(name) for name in builtin_names()}
 ELEMENTS = {name: enumerate_group(group) for name, group in GROUPS.items()}
@@ -75,6 +76,44 @@ def test_translates_share_status_and_reason(case):
 
 
 GRIG = GrigorchukGroup()
+S5 = load_perm("perm 5\n(0 1)\n(0 1 2 3 4)\n")
+
+
+@st.composite
+def elements_of_one_group(draw):
+    """``(group, elements)``: 1-4 elements of a catalog group (Cayley), of S5
+    (permutations) or of the Grigorchuk group, given there as random words."""
+    backend = draw(st.sampled_from(["cayley", "perm", "word"]))
+    if backend == "cayley":
+        name = draw(st.sampled_from(sorted(GROUPS)))
+        group, element = GROUPS[name], st.sampled_from(ELEMENTS[name])
+    elif backend == "perm":
+        group, element = S5, st.permutations(range(5)).map(lambda p: S5.element(tuple(p)))
+    else:
+        group, element = GRIG, st.text("abcd", max_size=12).map(GRIG.parse_element)
+    return group, draw(st.lists(element, min_size=1, max_size=4))
+
+
+@seed(20261)
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(elements_of_one_group())
+def test_elements_round_trip_through_their_text(case):
+    # Equality is the group's, so a word is compared as an element, not as a spelling.
+    group, elements = case
+    for el in elements:
+        assert group.parse_element(str(el)) == el
+
+
+@seed(20262)
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(elements_of_one_group(), st.data())
+def test_measures_round_trip_through_their_text(case, data):
+    group, elements = case
+    raw = data.draw(st.lists(st.integers(1, 50), min_size=len(elements), max_size=len(elements)))
+    mu = Measure(group, [(el, F(r, sum(raw))) for el, r in zip(elements, raw)])
+    atoms = measure_to_json(mu)["atoms"]
+    text = "".join(f"{atom['element']} {atom['weight']}\n" for atom in atoms)
+    assert load_measure(text, group) == mu
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from convreg import (
     Measure,
     builtin_group,
     builtin_names,
+    closure,
     convolve,
     decide_regular,
     decide_translated,
@@ -23,13 +24,39 @@ from convreg import (
     support,
     uniform_on,
 )
-from convreg.errors import CapExceeded, CertificateInvalid, NotAGInverse
+from convreg.errors import CapExceeded, CertificateInvalid
 from convreg.groups import load_perm
-from convreg.regularity import is_generalized_inverse, moore_penrose
+from convreg.operators import SupportTable
 
 Z2 = load_cayley("cayley 2\n0 1\n1 0\n")
 Z4 = load_cayley("cayley 4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n")
 S3 = load_perm("perm 3\n(0 1)\n(0 1 2)\n")
+A4 = load_perm("perm 4\n(0 1 2)\n(1 2 3)\n")
+
+
+# ---------------------------------------------------------------------------
+# Fraction references: the certificate identities convolved out as measures
+
+
+class NotAGInverse(Exception):
+    """A claimed generalized inverse fails the defining identity."""
+
+
+def is_generalized_inverse(mu, nu):
+    """Whether ``mu * nu * mu = mu`` holds exactly."""
+    return convolve(convolve(mu, nu), mu) == mu
+
+
+def moore_penrose(mu, ginverse):
+    """Moore-Penrose inverse ``ginverse * mu * ginverse``, both equations checked."""
+    if not is_generalized_inverse(mu, ginverse):
+        raise NotAGInverse("mu * nu * mu != mu for the claimed inverse")
+    mp = convolve(convolve(ginverse, mu), ginverse)
+    if convolve(convolve(mu, mp), mu) != mu:
+        raise CertificateInvalid("mu * mp * mu != mu")
+    if convolve(convolve(mp, mu), mp) != mp:
+        raise CertificateInvalid("mp * mu * mp != mp")
+    return mp
 
 
 def z2_uniform():
@@ -123,10 +150,9 @@ def test_large_skewed_support_names_unequal_weights_without_a_system(monkeypatch
         raise AssertionError("the equality system was built")
 
     monkeypatch.setattr(convreg.regularity, "mat_mul", forbidden)
-    a4 = load_perm("perm 4\n(0 1 2)\n(1 2 3)\n")
-    elems = enumerate_group(a4)
+    elems = enumerate_group(A4)
     assert len(elems) == 12 > convreg.regularity.SYSTEM_DIAGNOSTIC_MAX_ATOMS
-    mu = Measure(a4, [(el, F(2 if i == 0 else 1, 13)) for i, el in enumerate(elems)])
+    mu = Measure(A4, [(el, F(2 if i == 0 else 1, 13)) for i, el in enumerate(elems)])
     verdict = decide_regular(mu)
     assert (verdict.status, verdict.reason) == ("not-regular", "system-infeasible")
     assert verdict.certificate is None
@@ -210,30 +236,57 @@ def test_each_certificate_identity_is_checked_once_on_the_table(
     monkeypatch, payloads, normalizations
 ):
     # The only measure convolution is the translation normalization; the
-    # three certificate identities take two table convolutions each.
-    calls = {"convolve": 0, "table": 0}
-    table_convolve = convreg.regularity._table_convolve
+    # three certificate identities follow from one group-table check and
+    # O(n) tests on the table, with no table convolution at all.
+    calls = {"convolve": 0, "group_table": 0}
+    is_group_table = convreg.regularity._is_group_table
 
     def counting(mu, nu):
         calls["convolve"] += 1
         return convolve(mu, nu)
 
-    def counting_table(a, b, mult):
-        calls["table"] += 1
-        return table_convolve(a, b, mult)
-
-    def forbidden(*args):
-        raise AssertionError("the certificate was checked by measure convolution")
+    def counting_group_table(mult):
+        calls["group_table"] += 1
+        return is_group_table(mult)
 
     monkeypatch.setattr(convreg.regularity, "convolve", counting)
-    monkeypatch.setattr(convreg.regularity, "_table_convolve", counting_table)
-    monkeypatch.setattr(convreg.regularity, "moore_penrose", forbidden)
-    monkeypatch.setattr(convreg.regularity, "is_generalized_inverse", forbidden)
+    monkeypatch.setattr(convreg.regularity, "_is_group_table", counting_group_table)
     mu = Measure(Z4, [(Z4.element(p), F(1, 2)) for p in payloads])
     cert = decide_regular(mu).certificate
-    assert calls == {"convolve": normalizations, "table": 6}
+    assert calls == {"convolve": normalizations, "group_table": 1}
+    assert not {"_table_convolve", "_reproduces"} & set(vars(convreg.regularity))
     monkeypatch.undo()
     assert moore_penrose(mu, cert.ginverse) == cert.moore_penrose
+
+
+def _swapped(rows, j, k1, k2):
+    """``rows`` with the entries at ``(j, k1)`` and ``(j, k2)`` exchanged."""
+    row = list(rows[j])
+    row[k1], row[k2] = row[k2], row[k1]
+    return (*rows[:j], tuple(row), *rows[j + 1:])
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        # Row 1 stays a permutation; columns 1 and 2 each repeat an index.
+        lambda mult: _swapped(mult, 1, 1, 2),
+        # Column 1 stays a permutation; rows 1 and 2 each repeat an index.
+        lambda mult: tuple(zip(*_swapped(tuple(zip(*mult)), 1, 1, 2))),
+    ],
+    ids=["row-swapped", "column-swapped"],
+)
+def test_corrupted_support_table_is_an_invalid_certificate(monkeypatch, corrupt):
+    build = convreg.regularity.build_support_table
+
+    def corrupted(elements):
+        table = build(elements)
+        return SupportTable(table.elements, corrupt(table.mult), table.inv_index)
+
+    monkeypatch.setattr(convreg.regularity, "build_support_table", corrupted)
+    mu = uniform_on(S3, enumerate_group(S3))
+    with pytest.raises(CertificateInvalid, match="not the table of a subgroup"):
+        decide_regular(mu)
 
 
 def test_inverse_failing_revalidation_is_an_invalid_certificate(monkeypatch):
@@ -294,15 +347,44 @@ def random_measure(rng, group, elems, max_support=3, max_den=6):
     return Measure(group, [(el, w / total) for el, w in zip(chosen, raw)])
 
 
+def random_coset_measure(rng, group, elems):
+    """Uniform on a left coset of the subgroup generated by one or two of
+    ``elems``; the atoms keep their spellings from ``elems``."""
+    subgroup = closure(group, rng.sample(elems, rng.randint(1, 2)))
+    x = rng.choice(elems)
+    coset = {x * h for h in subgroup}
+    return Measure(group, [(el, F(1, len(coset))) for el in elems if el in coset])
+
+
+# Elements of <a, d> spelled after an identity word, so that no atom carries
+# its canonical spelling (the identity is spelled dadadada).
+RESPELLED_AD = [
+    GRIG.parse_element(("dadadada", "adadadad")[i % 2] + el.payload)
+    for i, el in enumerate(closure(GRIG, [GRIG.element("a"), GRIG.element("d")]))
+]
+
+
 def test_random_verdicts_carry_sound_certificates():
     rng = random.Random(321)
-    for group in (Z4, S3):
-        elems = list(enumerate_group(group))
+    # (group, elements, whether half the draws are coset-uniform, the support
+    # sizes of the regular draws)
+    inputs = [
+        (Z4, list(enumerate_group(Z4)), False, {1, 2}),
+        (S3, list(enumerate_group(S3)), False, {1, 2}),
+        (A4, list(enumerate_group(A4)), True, {1, 2, 3, 4, 12}),
+        (GRIG, RESPELLED_AD, True, {1, 2, 4, 8}),
+    ]
+    for group, elems, cosets, sizes in inputs:
+        regular_sizes = set()
         for _ in range(120):
-            mu = random_measure(rng, group, elems)
+            if cosets and rng.random() < 0.5:
+                mu = random_coset_measure(rng, group, elems)
+            else:
+                mu = random_measure(rng, group, elems)
             verdict = decide_regular(mu)
             if verdict.status != "regular":
                 continue
+            regular_sizes.add(len(mu))
             cert = verdict.certificate
             assert convolve(convolve(mu, cert.ginverse), mu) == mu
             mp = cert.moore_penrose
@@ -312,7 +394,8 @@ def test_random_verdicts_carry_sound_certificates():
             for prod in (convolve(mu, mp), convolve(mp, mu)):
                 assert convolve(prod, prod) == prod
             if support(mu)[0] == group.identity():
-                assert support(mp) == support(mu)
+                assert set(support(mp)) == set(support(mu))
+        assert regular_sizes == sizes
 
 
 def test_translation_never_changes_the_status():
