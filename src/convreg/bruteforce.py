@@ -20,19 +20,30 @@ has integer weights, and write the candidate on the universe
     (q D^2) (mu * nu * mu) = a * k * a = sum_i k_i c_i,   c_i = a * δ(u_i) * a,
 
 and ``mu * nu * mu = mu`` holds exactly when ``sum_i k_i c_i`` equals
-``q D a`` element by element (zero off the support of ``mu``).  The ``m``
-integer columns ``c_i`` are convolved once per call: at most
-``m |S| (|S| + 1)`` group products for the support ``S`` of ``mu``, whatever
-``max_denominator`` is and however many candidates are tested.  After that a
-candidate costs integer arithmetic only.
+``q D a`` element by element (zero off the support ``S`` of ``mu``).
 
-Every column is laid out over one fixed index list (the support of ``mu``
-first, then every other element some column reaches) as a single integer
-with one ``w``-bit field per index.  Each column sums to ``D^2`` and the
-``k_i`` sum to ``q``, so no entry of ``sum_i k_i c_i`` or of ``q D a``
-exceeds ``q D^2``.  With ``2^w > max_denominator D^2`` no field carries into
-the next, and the packed sums are equal exactly when every entry is.  Only
-the returned hit is built as a :class:`~convreg.measures.Measure`.
+Only columns inside ``S`` can take part in a hit.  Every ``c_i`` and every
+``k_i`` is nonnegative, so a candidate with ``k_i > 0`` on a column that
+puts mass off ``S`` has a positive entry there, where ``q D a`` is zero.
+The grid is therefore enumerated over the usable columns alone, and the
+others are never tested.  This changes neither the first hit nor its
+spelling: reverse-lexicographic order is descending tuple order, and two
+tuples that are zero at the dropped positions first differ at a kept one,
+so restricting the order to them keeps their relative order; zero parts do
+not change ``gcd(q, *parts)``.  When no column is usable there is no hit.
+
+Each column is built once per call, stopping at its first product outside
+``S``: at most ``m |S| (|S| + 1)`` group products, whatever
+``max_denominator`` is and however many candidates are tested.  After that
+a candidate costs integer arithmetic only.
+
+Every usable column is laid out over the support of ``mu`` as a single
+integer with one ``w``-bit field per support element.  Each column sums to
+``D^2`` and the ``k_i`` sum to ``q``, so no entry of ``sum_i k_i c_i`` or of
+``q D a`` exceeds ``q D^2``.  With ``2^w > max_denominator D^2`` no field
+carries into the next, and the packed sums are equal exactly when every
+entry is.  Only the returned hit is built as a
+:class:`~convreg.measures.Measure`.
 """
 
 from __future__ import annotations
@@ -75,16 +86,22 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         comp[i + 1] = rest + 1
 
 
-def _int_convolve(
-    f: Sequence[tuple[GroupElement, int]], g: Sequence[tuple[GroupElement, int]]
-) -> dict[GroupElement, int]:
-    """Convolution of two integer-weighted atom lists, as element -> weight."""
-    acc: dict[GroupElement, int] = {}
-    for x, a in f:
-        for y, b in g:
-            z = x * y
-            acc[z] = acc.get(z, 0) + a * b
-    return acc
+def _packed_column(
+    scaled: Sequence[tuple[GroupElement, int]],
+    u: GroupElement,
+    index: dict[GroupElement, int],
+    width: int,
+) -> int | None:
+    """``a * δ(u) * a`` packed over ``index``, or None once a product leaves it."""
+    packed = 0
+    for x, a in scaled:
+        xu = x * u
+        for y, b in scaled:
+            j = index.get(xu * y)
+            if j is None:
+                return None
+            packed += a * b << width * j
+    return packed
 
 
 def candidate_universe(mu: Measure) -> tuple[GroupElement, ...]:
@@ -125,28 +142,33 @@ def brute_force_ginverse(
         raise ValueError("support universe is empty")
     if m > max_atoms:
         raise UniverseTooLarge(f"universe has {m} atoms, budget is {max_atoms}")
-    total = sum(math.comb(q + m - 1, m - 1) for q in range(1, max_denominator + 1))
+    # Compositions of q into m parts, summed over q = 1..max_denominator.
+    total = math.comb(max_denominator + m, m) - 1
     if total > max_candidates:
         raise UniverseTooLarge(
             f"grid holds {total} candidate vectors, budget is {max_candidates}"
         )
     scale = math.lcm(*(w.denominator for _, w in mu.atoms))
     scaled = [(el, w.numerator * (scale // w.denominator)) for el, w in mu.atoms]
-    # Each column a * δ(u) * a, packed over one index list: the support of mu,
-    # then every new element a column reaches (see the module docstring).
+    # Only the columns a * δ(u) * a inside the support can take part in a hit
+    # (see the module docstring).
     width = (max_denominator * scale * scale).bit_length()
     index = {el: j for j, (el, _) in enumerate(scaled)}
-    columns = []
+    kept, columns = [], []
     for u in universe:
-        col = _int_convolve([(x * u, a) for x, a in scaled], scaled)
-        columns.append(sum(c << width * index.setdefault(el, len(index)) for el, c in col.items()))
+        col = _packed_column(scaled, u, index, width)
+        if col is not None:
+            kept.append(u)
+            columns.append(col)
+    if not columns:
+        return None
     target = scale * sum(a << width * j for j, (_, a) in enumerate(scaled))
     for q in range(1, max_denominator + 1):
         goal = q * target
-        for parts in _compositions(q, m):
+        for parts in _compositions(q, len(columns)):
             if math.gcd(q, *parts) > 1:
                 continue  # already tested with a smaller denominator
             if sum(map(operator.mul, parts, columns)) == goal:
-                atoms = [(universe[i], Fraction(c, q)) for i, c in enumerate(parts) if c > 0]
+                atoms = [(kept[i], Fraction(c, q)) for i, c in enumerate(parts) if c > 0]
                 return Measure(mu.group, atoms)
     return None

@@ -368,14 +368,16 @@ def probe_uniform_subsets(
     are more than ``PROBE_MAX_CASES`` subsets.
     """
     elements = enumerate_group(group, cap)
-    count = sum(math.comb(len(elements), size) for size in range(max_subset_size + 1))
+    # No subset is larger than the group, so larger sizes add no case.
+    sizes = range(min(max_subset_size, len(elements)) + 1)
+    count = sum(math.comb(len(elements), size) for size in sizes)
     if count > PROBE_MAX_CASES:
         raise CapExceeded(
             f"{count} subsets of at most {max_subset_size} of {len(elements)} "
             f"elements exceed the probe budget of {PROBE_MAX_CASES}"
         )
     cases = []
-    for size in range(0, max_subset_size + 1):
+    for size in sizes:
         for combo in itertools.combinations(elements, size):
             verdict = decide_regular(uniform_on(group, combo))
             cases.append(

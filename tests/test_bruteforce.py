@@ -22,6 +22,7 @@ from convreg import (
     support,
     uniform_on,
 )
+from convreg import bruteforce
 from convreg.bruteforce import _compositions
 from convreg.errors import UniverseTooLarge
 from convreg.groups import GroupElement
@@ -135,6 +136,44 @@ def test_group_products_are_fixed_per_call(monkeypatch):
     assert counts[0] == counts[1] <= m * s * (s + 1)
 
 
+def test_budget_is_counted_in_closed_form():
+    # The count is exact and immediate, however large the denominator.
+    mu = uniform_on(Z4, [Z4.element(1), Z4.element(2), Z4.element(3)])
+    huge = 10**12
+    with pytest.raises(UniverseTooLarge) as err:
+        brute_force_ginverse(mu, huge, enumerate_group(Z4))
+    assert str(err.value) == (
+        f"grid holds {math.comb(huge + 4, 4) - 1} candidate vectors, budget is 2000000"
+    )
+    # Hockey stick: the compositions of q = 1..Q into m parts.
+    elems = enumerate_group(builtin_group("D4"))
+    for m in range(1, 8):
+        for top in range(1, 60):
+            with pytest.raises(UniverseTooLarge) as err:
+                brute_force_ginverse(dirac(elems[0]), top, elems[:m], max_candidates=0)
+            total = sum(math.comb(q + m - 1, m - 1) for q in range(1, top + 1))
+            assert str(err.value) == f"grid holds {total} candidate vectors, budget is 0"
+
+
+def test_no_composition_when_every_column_leaves_the_support(monkeypatch):
+    # {0, 1, 2} is open in Z4: every column a * δ(u) * a reaches 3, so not
+    # one candidate is generated, even at a denominator near the budget.
+    mu = Measure(Z4, [(Z4.element(0), F(1, 2)), (Z4.element(1), F(1, 4)), (Z4.element(2), F(1, 4))])
+    calls = 0
+    compositions = bruteforce._compositions
+
+    def counting(total, parts):
+        nonlocal calls
+        calls += 1
+        return compositions(total, parts)
+
+    monkeypatch.setattr(bruteforce, "_compositions", counting)
+    assert brute_force_ginverse(mu, 226, candidate_universe(mu)) is None
+    assert calls == 0
+    assert brute_force_ginverse(uniform_on(Z4, [Z4.element(2)]), 1, enumerate_group(Z4))
+    assert calls == 1
+
+
 # ---------------------------------------------------------------------------
 # The integer-scaled oracle against a Fraction reference
 
@@ -175,8 +214,8 @@ def sweep_measures():
                     yield Measure(group, list(zip(subset, weights)))
 
 
-def assert_same_first_hit(mu, max_denominator):
-    universe = candidate_universe(mu)
+def assert_same_first_hit(mu, max_denominator, universe=None):
+    universe = candidate_universe(mu) if universe is None else universe
     hit = brute_force_ginverse(mu, max_denominator, universe)
     expected = reference_ginverse(mu, max_denominator, universe)
     if expected is None:
@@ -184,6 +223,7 @@ def assert_same_first_hit(mu, max_denominator):
     else:
         assert hit == expected
         assert [(str(el), w) for el, w in hit.atoms] == [(str(el), w) for el, w in expected.atoms]
+    return hit
 
 
 def test_scaled_oracle_matches_reference_on_the_sweep():
@@ -191,6 +231,22 @@ def test_scaled_oracle_matches_reference_on_the_sweep():
     assert len(measures) == 765
     for mu in measures:
         assert_same_first_hit(mu, 4)
+
+
+def test_scaled_oracle_matches_reference_on_whole_group_universes():
+    # On the whole group a closed support keeps some columns a * δ(u) * a
+    # and drops the ones that leave it, so the oracle enumerates a proper
+    # subset of the grid.  An open support keeps no column, and it has no
+    # inverse at all (criterion 4), so the answer there is None.
+    hits = 0
+    for mu in sweep_measures():
+        universe = enumerate_group(mu.group)
+        s = support(mu)
+        if len(closure(mu.group, [s[0].inverse() * x for x in s])) > len(s):
+            assert brute_force_ginverse(mu, 2, universe) is None
+        else:
+            hits += assert_same_first_hit(mu, 2, universe) is not None
+    assert hits > 0
 
 
 def test_scaled_oracle_matches_reference_on_respelled_words():

@@ -234,6 +234,16 @@ def test_probe_json(files, capsys):
     assert obj["summary"]["regular_iff_support_closed"] is True
 
 
+def test_probe_sizes_beyond_the_group_order_add_no_case(files, capsys):
+    # Z2 has subsets of at most 2 elements; a huge size must not loop over
+    # the sizes that hold none.
+    code, huge, err = run(capsys, "probe", files["z2"], "--max-set-size", "1000000")
+    assert (code, err) == (0, "")
+    _, exact, _ = run(capsys, "probe", files["z2"], "--max-set-size", "2")
+    assert "max subset size: 1000000\n" in huge
+    assert huge.replace("max subset size: 1000000\n", "max subset size: 2\n") == exact
+
+
 def test_probe_on_word_group_is_an_error(files, capsys):
     code, _, err = run(capsys, "probe", files["grig"])
     assert code == 1

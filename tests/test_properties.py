@@ -13,10 +13,13 @@ from convreg import (
     builtin_names,
     candidate_universe,
     closure,
+    convolve,
     decide_regular,
     decide_translated,
+    dirac,
     enumerate_group,
 )
+from convreg.bruteforce import _compositions
 from convreg.errors import ClosureBudgetExceeded, ConvregError
 from convreg.groups import load_perm
 from convreg.measures import load_measure, measure_to_json
@@ -41,6 +44,24 @@ def small_measures(draw):
 def test_closed_form_agrees_with_brute_force_oracle(mu):
     regular = decide_regular(mu).status == "regular"
     assert regular == (brute_force_ginverse(mu, 8, candidate_universe(mu)) is not None)
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(small_measures())
+def test_every_grid_candidate_is_a_hit_exactly_when_regular(mu):
+    # For mu = δ(x) m_H the universe is H x^{-1}, and
+    # m_H * (nu * δ(x)) * m_H = m_H for every probability nu on it; an
+    # irregular mu has no inverse at all.
+    regular = decide_regular(mu).status == "regular"
+    universe = candidate_universe(mu)
+    for q in (1, 2, 3):
+        for parts in _compositions(q, len(universe)):
+            nu = Measure(mu.group, [(u, F(k, q)) for u, k in zip(universe, parts) if k])
+            assert (convolve(convolve(mu, nu), mu) == mu) == regular
+    # So the oracle's first hit is the first grid candidate, all mass on the
+    # first universe atom.
+    expected = dirac(universe[0]) if regular else None
+    assert brute_force_ginverse(mu, 3, universe) == expected
 
 
 @st.composite
