@@ -109,6 +109,103 @@ def test_non_ascii_byte_is_a_parse_error(files, capsys, which):
     assert err == "error: line 2: non-printable or non-ASCII character '\\udcc3'\n"
 
 
+_PINNED_GROUP_ERRORS = [
+    ("empty-group-file", "", "empty group file"),
+    ("comment-only-group-file", "# nothing\n", "empty group file"),
+    (
+        "grigorchuk-extra-token",
+        "grigorchuk x\n",
+        "line 1: unexpected tokens after 'grigorchuk': 'grigorchuk x'",
+    ),
+    (
+        "grigorchuk-extra-line",
+        "grigorchuk\na\n",
+        "line 2: unexpected content after 'grigorchuk' header",
+    ),
+    (
+        "unknown-group-kind",
+        "free 2\n",
+        "line 1: unknown group kind 'free' (expected cayley, perm, or grigorchuk)",
+    ),
+    ("cayley-header", "cayley\n", "line 1: expected 'cayley <n>' header, got 'cayley'"),
+    ("cayley-bad-order", "cayley x\n", "line 1: bad group order 'x'"),
+    ("cayley-row-count", "cayley 2\n0 1\n", "expected 2 table rows, found 1"),
+    ("cayley-non-integer", "cayley 2\n0 a\n1 0\n", "line 2: non-integer table entry in '0 a'"),
+    ("cayley-row-length", "cayley 2\n0 1 1\n1 0\n", "line 2: expected 2 entries, found 3"),
+    ("cayley-empty-table", "cayley 0\n", "empty multiplication table"),
+    ("cayley-row-not-permutation", "cayley 2\n0 0\n1 0\n", "row 0 is not a permutation of 0..1"),
+    (
+        "cayley-identity-column",
+        "cayley 3\n0 1 2\n2 0 1\n1 2 0\n",
+        "identity axiom fails: table[1][0] = 2",
+    ),
+    ("perm-header", "perm\n", "line 1: expected 'perm <degree>' header, got 'perm'"),
+    ("perm-bad-degree", "perm x\n", "line 1: bad degree 'x'"),
+    ("perm-degree-zero", "perm 0\n", "degree must be >= 1, got 0"),
+    (
+        "cycle-unexpected-character",
+        "perm 3\n(0 1)x\n",
+        "line 2: unexpected 'x' in cycle notation '(0 1)x'",
+    ),
+    ("cycle-non-integer", "perm 3\n(0 a)\n", "line 2: non-integer entry in cycle '(0 a)'"),
+]
+
+_PINNED_MEASURE_ERRORS = [
+    ("measure-one-token", "0 1/2\n1\n", "line 2: expected '<element> <num>/<den>', got '1'"),
+    ("measure-bad-element", "0 1/2\n7 1/2\n", "line 2: element index 7 out of range 0..1"),
+]
+
+
+@pytest.mark.parametrize(
+    "group_text, measure_text, extra, code, out, err",
+    [
+        pytest.param(
+            Z4_TEXT,
+            "1 1/2\n3 1/2\n",
+            [],
+            0,
+            "status: regular\n"
+            "reason: certificate\n"
+            "subject: 1=1/2  3=1/2\n"
+            "ginverse: 3=1/1\n"
+            "moore-penrose: 1=1/2  3=1/2\n"
+            "normalization: left=3 right=0\n"
+            "checks: support_closed, ginverse_identity, mp_left, mp_right\n",
+            "",
+            id="normalization-line",
+        ),
+        pytest.param(
+            S3_TEXT,
+            None,
+            ["(0 1)", "--json"],
+            0,
+            '{\n  "count": 2,\n  "elements": [\n    "e",\n    "(0 1)"\n  ]\n}\n',
+            "",
+            id="closure-json",
+        ),
+        *(
+            pytest.param(text, "0 1/2\n1 1/2\n", [], 1, "", f"error: {message}\n", id=name)
+            for name, text, message in _PINNED_GROUP_ERRORS
+        ),
+        *(
+            pytest.param(Z2_TEXT, text, [], 1, "", f"error: {message}\n", id=name)
+            for name, text, message in _PINNED_MEASURE_ERRORS
+        ),
+    ],
+)
+def test_cli_output_is_pinned(tmp_path, capsys, group_text, measure_text, extra, code, out, err):
+    # Literal stdout, stderr and exit code of paths no other test runs.
+    # A measure text selects `check`; without one the command is `closure`.
+    group, measure = tmp_path / "g.grp", tmp_path / "m.msr"
+    group.write_text(group_text)
+    if measure_text is None:
+        argv = ["closure", str(group)]
+    else:
+        measure.write_text(measure_text)
+        argv = ["check", str(group), str(measure)]
+    assert run(capsys, *argv, *extra) == (code, out, err)
+
+
 # ---------------------------------------------------------------------------
 # uniform / ginverse
 
