@@ -35,17 +35,6 @@ _GENERATORS = {
 }
 
 
-def _from_perms(perms: list[tuple[int, ...]]) -> list[list[int]]:
-    """Cayley table of a set of permutations closed under composition."""
-    perms = sorted(perms)  # identity image tuple sorts first
-    index = {p: i for i, p in enumerate(perms)}
-    degree = len(perms[0])
-    table = []
-    for p in perms:
-        table.append([index[tuple(p[q[x]] for x in range(degree))] for q in perms])
-    return table
-
-
 def builtin_names() -> tuple[str, ...]:
     """Names of the built-in groups, smallest first."""
     return tuple(_GENERATORS)
@@ -58,9 +47,10 @@ def cayley_text(name: str) -> str:
     except KeyError:
         raise KeyError(f"unknown built-in group {name!r}; pick from {builtin_names()}") from None
     group = load_perm("\n".join([f"perm {degree}", *generators]))
-    table = _from_perms([el.payload for el in enumerate_group(group)])
-    lines = [f"# {name}", f"cayley {len(table)}"]
-    lines += [" ".join(str(v) for v in row) for row in table]
+    elements = enumerate_group(group)  # sorted by image tuple, identity first
+    index = {el: i for i, el in enumerate(elements)}
+    lines = [f"# {name}", f"cayley {len(elements)}"]
+    lines += [" ".join(str(index[x * y]) for y in elements) for x in elements]
     return "\n".join(lines) + "\n"
 
 
