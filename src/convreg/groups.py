@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import abc
 import itertools
+import re
 from collections import deque
 from typing import Any, ClassVar, Iterable, Sequence
 
@@ -419,16 +420,22 @@ def enumerate_group(group: Group, cap: int = DEFAULT_CLOSURE_CAP) -> tuple[Group
 # File formats
 
 
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+_NOT_PRINTABLE = re.compile(r"[^\t -~]")
+
+
 def content_lines(text: str) -> list[tuple[int, str]]:
     """Non-empty, non-comment lines as ``(1-based line number, stripped text)``.
 
-    Only 7-bit printable input is accepted; ``#`` starts a whole-line comment.
+    Lines end at LF, CRLF or CR only.  Every other character must be 7-bit
+    printable or a tab, so a control character such as a form feed is an
+    error on its line, not a line break; ``#`` starts a whole-line comment.
     """
     out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        for ch in raw:
-            if ord(ch) > 126 or (ord(ch) < 32 and ch != "\t"):
-                raise ParseError(f"non-printable or non-ASCII character {ch!r}", lineno)
+    for lineno, raw in enumerate(_LINE_BREAK.split(text), start=1):
+        bad = _NOT_PRINTABLE.search(raw)
+        if bad:
+            raise ParseError(f"non-printable or non-ASCII character {bad.group()!r}", lineno)
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -252,6 +252,25 @@ def test_non_ascii_rejected():
         load_cayley("cayley 2\n0 1\n1 0 é\n")
 
 
+@pytest.mark.parametrize(
+    "ch", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_control_characters_are_errors_not_line_breaks(ch):
+    # str.splitlines breaks at each of these; a file line ends only at LF,
+    # CRLF or CR.
+    with pytest.raises(ParseError) as err:
+        load_cayley(f"cayley 2\n0{ch}1\n1 0\n")
+    assert str(err.value) == f"line 2: non-printable or non-ASCII character {ch!r}"
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_lf_crlf_and_cr_end_lines(eol):
+    assert load_cayley(eol.join(["# Z2", "cayley 2", "0 1", "1 0", ""])).order == 2
+    with pytest.raises(ParseError) as err:
+        load_cayley(eol.join(["cayley 2", "", "0 1", "1 x", ""]))
+    assert str(err.value) == "line 4: non-integer table entry in '1 x'"
+
+
 # ---------------------------------------------------------------------------
 # Random properties
 
