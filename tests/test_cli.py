@@ -191,6 +191,25 @@ _PINNED_MEASURE_ERRORS = [
             pytest.param(Z2_TEXT, text, [], 1, "", f"error: {message}\n", id=name)
             for name, text, message in _PINNED_MEASURE_ERRORS
         ),
+        # A form feed or vertical tab is an error on its line, not a line break.
+        pytest.param(
+            "cayley 2\f0 1\n1 0\n",
+            "0 1/2\v1 1/2\n",
+            [],
+            1,
+            "",
+            "error: line 1: non-printable or non-ASCII character '\\x0c'\n",
+            id="form-feed-in-group",
+        ),
+        pytest.param(
+            Z2_TEXT,
+            "0 1/2\v1 1/2\n",
+            [],
+            1,
+            "",
+            "error: line 1: non-printable or non-ASCII character '\\x0b'\n",
+            id="vertical-tab-in-measure",
+        ),
     ],
 )
 def test_cli_output_is_pinned(tmp_path, capsys, group_text, measure_text, extra, code, out, err):
@@ -204,30 +223,6 @@ def test_cli_output_is_pinned(tmp_path, capsys, group_text, measure_text, extra,
         measure.write_text(measure_text)
         argv = ["check", str(group), str(measure)]
     assert run(capsys, *argv, *extra) == (code, out, err)
-
-
-@pytest.mark.parametrize(
-    "group_text, measure_text, err",
-    [
-        pytest.param(
-            "cayley 2\f0 1\n1 0\n",
-            "0 1/2\v1 1/2\n",
-            "error: line 1: non-printable or non-ASCII character '\\x0c'\n",
-            id="form-feed-in-group",
-        ),
-        pytest.param(
-            Z2_TEXT,
-            "0 1/2\v1 1/2\n",
-            "error: line 1: non-printable or non-ASCII character '\\x0b'\n",
-            id="vertical-tab-in-measure",
-        ),
-    ],
-)
-def test_control_character_is_a_parse_error(tmp_path, capsys, group_text, measure_text, err):
-    group, measure = tmp_path / "g.grp", tmp_path / "m.msr"
-    group.write_text(group_text)
-    measure.write_text(measure_text)
-    assert run(capsys, "check", str(group), str(measure)) == (1, "", err)
 
 
 # ---------------------------------------------------------------------------
