@@ -87,8 +87,7 @@ class Group(abc.ABC):
     def _eq(self, x: Any, y: Any) -> bool:
         return x == y
 
-    def _hash(self, x: Any) -> int:
-        return hash(x)
+    _hash = hash  # a builtin, so it binds no ``self``
 
     def element(self, payload: Any) -> "GroupElement":
         return GroupElement(self, payload)
@@ -128,11 +127,15 @@ class GroupElement:
         raise AttributeError("GroupElement is immutable")
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        if self.group is not other.group:
+        group = self.group
+        if group is not other.group:
             raise BackendMismatch(
-                f"elements from different groups: {self.group.backend} vs {other.group.backend}"
+                f"elements from different groups: {group.backend} vs {other.group.backend}"
             )
-        return self.group.element(self.group._mul(self.payload, other.payload))
+        product = _new_element(GroupElement)
+        _set_group(product, group)
+        _set_payload(product, group._mul(self.payload, other.payload))
+        return product
 
     def inverse(self) -> "GroupElement":
         return self.group.element(self.group._inv(self.payload))
@@ -158,6 +161,13 @@ class GroupElement:
 
     def __str__(self) -> str:
         return self.group.format_payload(self.payload)
+
+
+# Products skip ``__init__`` and ``__setattr__``: the slots' own descriptors
+# fill a bare instance, which is then as immutable as any other.
+_new_element = object.__new__
+_set_group = GroupElement.group.__set__
+_set_payload = GroupElement.payload.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +295,7 @@ class PermGroup(Group):
         self.generators = tuple(gens)
 
     def _mul(self, x: tuple, y: tuple) -> tuple:
-        return tuple(x[y[i]] for i in range(self.degree))
+        return tuple(map(x.__getitem__, y))
 
     def _inv(self, x: tuple) -> tuple:
         out = [0] * self.degree
@@ -455,7 +465,9 @@ def load_cayley(text: str) -> CayleyGroup:
     try:
         n = int(tokens[1])
     except ValueError:
-        raise ParseError(f"bad group order {tokens[1]!r}", lineno) from None
+        n = -1
+    if n < 0:
+        raise ParseError(f"bad group order {tokens[1]!r}", lineno)
     body = lines[1:]
     if len(body) != n:
         raise ParseError(f"expected {n} table rows, found {len(body)}")

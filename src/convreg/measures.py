@@ -14,7 +14,9 @@ without re-running the constructor's checks, because convolution already
 guarantees them: both operands are on the same group, a product of positive
 weights is positive, the totals multiply to ``1 * 1 = 1``, and the dict
 merges equal elements (keeping the least spelling, as the constructor does).
-The public constructor keeps every check.
+:func:`translate` relabels atoms by a two-sided product and is trusted the
+same way (its docstring has the proof), so it only re-sorts them.  The public
+constructor keeps every check.
 """
 
 from __future__ import annotations
@@ -128,10 +130,22 @@ def uniform_on(group: Group, elements: Iterable[GroupElement]) -> Measure:
 
 
 def translate(mu: Measure, g: GroupElement, h: GroupElement) -> Measure:
-    """Two-sided translate ``dirac(g) * mu * dirac(h)``."""
+    """Two-sided translate ``dirac(g) * mu * dirac(h)``.
+
+    The atoms need no re-check.  ``x -> g x h`` is injective (``g`` and ``h``
+    are invertible), so distinct atoms stay distinct and none merge, and each
+    keeps its weight, so the weights stay positive and sum to one.  Only the
+    canonical order moves, so one sort restores it.
+    """
     if g.group is not mu.group or h.group is not mu.group:
         raise BackendMismatch("translation elements belong to a different group")
-    return Measure(mu.group, [(g * x * h, w) for x, w in mu.atoms])
+    return _relabelled(mu.group, [(g * x * h, w) for x, w in mu.atoms])
+
+
+def _relabelled(group: Group, atoms: list[tuple[GroupElement, Fraction]]) -> Measure:
+    """Trusted measure from atoms moved by an injective map; sorts ``atoms``."""
+    atoms.sort(key=lambda item: item[0].sort_key())
+    return Measure._trusted(group, atoms)
 
 
 def support(mu: Measure) -> tuple[GroupElement, ...]:

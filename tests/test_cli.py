@@ -129,6 +129,7 @@ _PINNED_GROUP_ERRORS = [
     ),
     ("cayley-header", "cayley\n", "line 1: expected 'cayley <n>' header, got 'cayley'"),
     ("cayley-bad-order", "cayley x\n", "line 1: bad group order 'x'"),
+    ("cayley-negative-order", "cayley -1\n", "line 1: bad group order '-1'"),
     ("cayley-row-count", "cayley 2\n0 1\n", "expected 2 table rows, found 1"),
     ("cayley-non-integer", "cayley 2\n0 a\n1 0\n", "line 2: non-integer table entry in '0 a'"),
     ("cayley-row-length", "cayley 2\n0 1 1\n1 0\n", "line 2: expected 2 entries, found 3"),

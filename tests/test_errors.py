@@ -15,6 +15,7 @@ Z2_TEXT = "cayley 2\n0 1\n1 0\n"
 Z2 = load_cayley(Z2_TEXT)
 # Equal tables, distinct group objects: their elements never mix.
 FOREIGN = load_cayley(Z2_TEXT).element(1)
+S3 = load_perm("perm 3\n(0 1)\n(0 1 2)\n")
 MU = uniform_on(Z2, [Z2.element(1)])
 SQUARE = RationalMatrix.from_rows([[1, 0], [0, 1]])
 
@@ -49,6 +50,12 @@ CASES = [
         lambda: translate(MU, Z2.identity(), FOREIGN),
         BackendMismatch,
         "translation elements belong to a different group",
+    ),
+    (
+        "product-cross-backend",
+        lambda: Z2.element(1) * S3.identity(),
+        BackendMismatch,
+        "elements from different groups: cayley vs perm",
     ),
     (
         "closure-foreign-generator",

@@ -18,7 +18,7 @@ from convreg.errors import (
     OrderBudgetExceeded,
     ParseError,
 )
-from convreg.groups import CayleyGroup, PermGroup, load_group, load_perm
+from convreg.groups import CayleyGroup, GroupElement, PermGroup, load_group, load_perm
 
 Z2_TEXT = "cayley 2\n0 1\n1 0\n"
 Z4_TEXT = "cayley 4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n"
@@ -192,6 +192,29 @@ def test_element_hashes_do_not_depend_on_the_group_object():
     assert hash(w1.element("ab")) == hash(w2.element("ab"))
     assert w1.element("ab") != w2.element("ab")
     assert len({g1.element(1), g2.element(1)}) == 2
+
+
+@pytest.mark.parametrize(
+    "group, x, y",
+    [
+        (z4(), 1, 2),
+        (PermGroup(3), (1, 0, 2), (1, 2, 0)),
+        (GrigorchukGroup(), "ad", "adadadada"),
+    ],
+    ids=["cayley", "perm", "grigorchuk"],
+)
+def test_products_are_plain_immutable_elements(group, x, y):
+    product = group.element(x) * group.element(y)
+    assert type(product) is GroupElement
+    assert product.group is group
+    with pytest.raises(AttributeError):
+        product.payload = x
+    with pytest.raises(AttributeError):
+        product.group = z4()
+    same = group.element(group._mul(x, y))
+    assert product == same
+    assert hash(product) == hash(same)
+    assert {product: 1}[same] == 1
 
 
 def test_order_budget_exceeded():

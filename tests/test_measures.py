@@ -228,6 +228,28 @@ def test_translate_equals_convolving_with_point_masses():
         assert translate(mu, g, h) == convolve(convolve(dirac(g), mu), dirac(h))
 
 
+def test_translate_matches_convolving_atom_for_atom_on_every_backend():
+    # Same atoms, same canonical order and same spelling as the convolution,
+    # on respelled word atoms and translates by long alternating words too.
+    rng = random.Random(13)
+    grig = GrigorchukGroup()
+    words = ["", "a", "d", "ad", "da", "ada", "dad", "adad",
+             "adadadada", "adadadadd", "dadadada", "adadadadad"]
+    shifts = ["adadadadadad", "dadadadadada", "acacacacacac", "abababababab"]
+    s4 = PermGroup(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
+    pools = [
+        (Z4, list(Z4.enumerate_elements(10)), []),
+        (s4, list(s4.enumerate_elements(30)), []),
+        (grig, [grig.element(w) for w in words], [grig.element(w) for w in shifts]),
+    ]
+    for group, elems, long_shifts in pools:
+        for _ in range(40):
+            mu = random_measure(rng, group, elems, max_support=4)
+            g, h = (rng.choice(elems + long_shifts) for _ in range(2))
+            reference = convolve(convolve(dirac(g), mu), dirac(h))
+            assert spelled(translate(mu, g, h)) == spelled(reference)
+
+
 def test_translate_by_identities_is_noop():
     mu = uniform_on(Z4, [Z4.element(1)])
     assert translate(mu, Z4.identity(), Z4.identity()) == mu
