@@ -287,6 +287,74 @@ def test_ginverse_bad_max_denominator_is_a_usage_error(
     assert err.endswith(f"error: argument {option}: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        # Every integer token is ASCII digits only: no sign, no `_`, no
+        # non-ASCII digit, though `int()` accepts all three.
+        pytest.param(
+            ["check", "z2", "0 1/2\n0_1 1/2\n"],
+            "error: line 2: expected an element index, got '0_1'\n",
+            id="index-underscore",
+        ),
+        pytest.param(
+            ["check", "z2", "0 1/2\n+1 1/2\n"],
+            "error: line 2: expected an element index, got '+1'\n",
+            id="index-plus",
+        ),
+        pytest.param(
+            ["order", "z2", "１"],
+            "error: expected an element index, got '１'\n",
+            id="index-fullwidth",
+        ),
+        pytest.param(
+            ["check", "cayley +2\n0 1\n1 0\n", "0 1/2\n1 1/2\n"],
+            "error: line 1: bad group order '+2'\n",
+            id="cayley-order-plus",
+        ),
+        pytest.param(
+            ["check", "cayley 2\n0 1\n1 0_0\n", "0 1/2\n1 1/2\n"],
+            "error: line 3: non-integer table entry in '1 0_0'\n",
+            id="cayley-row-underscore",
+        ),
+        pytest.param(
+            ["closure", "perm +3\n(0 1)\n", "(0 1)"],
+            "error: line 1: bad degree '+3'\n",
+            id="perm-degree-plus",
+        ),
+        pytest.param(
+            ["closure", "perm 3\n(0 +1)\n", "(0 1)"],
+            "error: line 2: non-integer entry in cycle '(0 +1)'\n",
+            id="cycle-plus",
+        ),
+        pytest.param(
+            ["closure", "s3", "(0 １)"],
+            "error: non-integer entry in cycle '(0 １)'\n",
+            id="cycle-fullwidth",
+        ),
+    ],
+)
+def test_integer_numerals_are_ascii_digits_only(tmp_path, files, capsys, argv, err):
+    # A name picks a fixture file; any other text is written to a file.
+    paths = []
+    for i, text in enumerate(argv[1:3]):
+        if text in files:
+            paths.append(files[text])
+        elif "\n" in text:
+            path = tmp_path / f"input{i}"
+            path.write_text(text)
+            paths.append(str(path))
+        else:
+            paths.append(text)
+    assert run(capsys, argv[0], *paths) == (1, "", err)
+
+
+def test_integer_option_is_ascii_digits_only(files, capsys):
+    code, out, err = run(capsys, "closure", files["z2"], "1", "--max", "1_0")
+    assert (code, out) == (1, "")
+    assert err.endswith("error: argument --max: invalid int value: '1_0'\n")
+
+
 def test_ginverse_json(files, capsys):
     code, out, _ = run(capsys, "ginverse", files["z2"], files["uniform"], "--json")
     assert code == 0
