@@ -30,6 +30,7 @@ from .groups import (
     DEFAULT_ORDER_CAP,
     Group,
     GroupElement,
+    _natural,
     closure,
     load_group,
 )
@@ -53,13 +54,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_at_least(low: int):
-    """An argparse ``type`` for integers >= ``low``; rejections become usage errors."""
+    """An argparse ``type`` for integers >= ``low``; rejections become usage errors.
+
+    A value is ASCII digits with an optional leading ``-``, so that a
+    negative one is named as below ``low``.
+    """
 
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        value = _natural(text.removeprefix("-"))
+        if value is None:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if text.startswith("-"):
+            value = -value
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value

@@ -251,10 +251,9 @@ class CayleyGroup(Group):
         s = text.strip()
         if s == "e":
             return self.identity()
-        try:
-            i = int(s)
-        except ValueError:
-            raise ParseError(f"expected an element index, got {s!r}") from None
+        i = _natural(s)
+        if i is None:
+            raise ParseError(f"expected an element index, got {s!r}")
         if not 0 <= i < self.order:
             raise ParseError(f"element index {i} out of range 0..{self.order - 1}")
         return self.element(i)
@@ -344,10 +343,9 @@ def _parse_cycles(text: str, degree: int) -> tuple:
         if end < 0:
             raise ParseError(f"unbalanced parenthesis in {s!r}")
         body = s[pos + 1 : end].replace(",", " ").split()
-        try:
-            cyc = [int(v) for v in body]
-        except ValueError:
-            raise ParseError(f"non-integer entry in cycle {s[pos:end + 1]!r}") from None
+        cyc = [_natural(v) for v in body]
+        if None in cyc:
+            raise ParseError(f"non-integer entry in cycle {s[pos:end + 1]!r}")
         for v in cyc:
             if not 0 <= v < degree:
                 raise ParseError(f"point {v} out of range 0..{degree - 1}")
@@ -432,6 +430,16 @@ def enumerate_group(group: Group, cap: int = DEFAULT_CLOSURE_CAP) -> tuple[Group
 
 _LINE_BREAK = re.compile(r"\r\n|\r|\n")
 _NOT_PRINTABLE = re.compile(r"[^\t -~]")
+_DIGITS = re.compile(r"[0-9]+")
+
+
+def _natural(text: str) -> int | None:
+    """``text`` as a nonnegative integer if it is ASCII digits only, else None.
+
+    Every integer token of every input goes through here: ``int()`` alone
+    would also take a sign, ``_`` separators and non-ASCII digits.
+    """
+    return int(text) if _DIGITS.fullmatch(text) else None
 
 
 def content_lines(text: str) -> list[tuple[int, str]]:
@@ -462,21 +470,17 @@ def load_cayley(text: str) -> CayleyGroup:
     tokens = header.split()
     if len(tokens) != 2 or tokens[0] != "cayley":
         raise ParseError(f"expected 'cayley <n>' header, got {header!r}", lineno)
-    try:
-        n = int(tokens[1])
-    except ValueError:
-        n = -1
-    if n < 0:
+    n = _natural(tokens[1])
+    if n is None:
         raise ParseError(f"bad group order {tokens[1]!r}", lineno)
     body = lines[1:]
     if len(body) != n:
         raise ParseError(f"expected {n} table rows, found {len(body)}")
     table = []
     for lineno, line in body:
-        try:
-            row = [int(v) for v in line.split()]
-        except ValueError:
-            raise ParseError(f"non-integer table entry in {line!r}", lineno) from None
+        row = [_natural(v) for v in line.split()]
+        if None in row:
+            raise ParseError(f"non-integer table entry in {line!r}", lineno)
         if len(row) != n:
             raise ParseError(f"expected {n} entries, found {len(row)}", lineno)
         table.append(row)
@@ -492,10 +496,9 @@ def load_perm(text: str) -> PermGroup:
     tokens = header.split()
     if len(tokens) != 2 or tokens[0] != "perm":
         raise ParseError(f"expected 'perm <degree>' header, got {header!r}", lineno)
-    try:
-        degree = int(tokens[1])
-    except ValueError:
-        raise ParseError(f"bad degree {tokens[1]!r}", lineno) from None
+    degree = _natural(tokens[1])
+    if degree is None:
+        raise ParseError(f"bad degree {tokens[1]!r}", lineno)
     gens = []
     for lineno, line in lines[1:]:
         try:
