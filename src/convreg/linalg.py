@@ -4,9 +4,10 @@ Matrices hold ``fractions.Fraction`` entries and results are ``Fraction``s —
 no floating point — so solutions are exact and deterministic.  The arithmetic
 itself runs on integers: each row (or column) is cleared of denominators once,
 scaling it by the lcm of its denominators, and only final entries are built as
-``Fraction``s.  No verdict depends on this module: the regularity engine uses
-it only for the exact equality-system diagnostic of a small closed support
-with unequal weights.
+``Fraction``s.  No verdict depends on this module, and the regularity engine
+uses none of its matrices: the exact equality-system diagnostic of a small
+closed support with unequal weights builds its rows as integers and calls the
+integer elimination :func:`_eliminate` directly.
 """
 
 from __future__ import annotations
@@ -97,20 +98,38 @@ def gaussian_solve(
 
     Returns one of ``("unique", x)``, ``("many", particular_x)`` or
     ``("none", None)``; the particular solution sets every free variable to 0.
-    Pivots are chosen deterministically (first nonzero at or below the current
-    row).
-
-    The elimination is fraction-free: each augmented row is cleared to
-    integers, a row is eliminated as ``pivot * row - factor * pivot_row`` and
-    then divided by the gcd of its entries.  Every row stays a nonzero
-    multiple of the row rational elimination would hold, with the same zero
-    pattern, so the pivots, the kind and the solution are exactly the
-    rational ones.
+    Each augmented row is cleared to integers and handed to
+    :func:`_eliminate`.
     """
     if a.rows != len(b):
         raise DimensionMismatch(f"matrix has {a.rows} rows but rhs has {len(b)}")
-    m, n = a.rows, a.cols
-    aug = [_cleared([*a.row(i), Fraction(b[i])])[0] for i in range(m)]
+    return _eliminate(
+        [_cleared([*a.row(i), Fraction(b[i])])[0] for i in range(a.rows)], a.cols
+    )
+
+
+def _eliminate(aug: list[list[int]], n: int) -> tuple[str, list[Fraction] | None]:
+    """Gauss-Jordan elimination of integer augmented rows ``[a_i | b_i]`` in place.
+
+    ``n`` is the number of unknowns; the result is as for
+    :func:`gaussian_solve`.  Pivots are chosen deterministically (first
+    nonzero at or below the current row).  The elimination is fraction-free:
+    a row is eliminated as ``pivot * row - factor * pivot_row`` and then
+    divided by the gcd of its entries.  Every row stays a nonzero multiple of
+    the row rational elimination would hold, with the same zero pattern, so
+    the pivots, the kind and the solution are exactly the rational ones.
+
+    Scaling any row by a nonzero integer before the call changes nothing.
+    Row scaling is an invertible row operation, so it keeps every linear
+    relation among the columns.  Column ``c`` is a pivot exactly when it is
+    not in the span of the columns before it, so the pivot columns stay the
+    same; the system is inconsistent exactly when the right-hand side is not
+    in the span of the coefficient columns, so the ``none`` kind stays too.
+    With the pivot columns fixed, the solution whose free variables are 0 is
+    unique, because the pivot columns are independent.  So the kind and the
+    solution equal those of the ``Fraction`` system, in the ``many`` case too.
+    """
+    m = len(aug)
     pivot_cols: list[int] = []
     r = 0
     for col in range(n):

@@ -84,12 +84,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import CapExceeded, CertificateInvalid, NotClosed
 from .groups import DEFAULT_CLOSURE_CAP, Group, GroupElement, enumerate_group
-from .linalg import RationalMatrix, gaussian_solve, mat_mul
+from .linalg import _eliminate
 from .measures import (  # convolve is unused here; perfbench wraps and tests it by this name
     Measure,
     _relabelled,
@@ -100,7 +99,7 @@ from .measures import (  # convolve is unused here; perfbench wraps and tests it
     translate,
     uniform_on,
 )
-from .operators import SupportTable, build_support_table, left_operator, right_operator
+from .operators import SupportTable, build_support_table
 
 __all__ = [
     "Certificate",
@@ -160,7 +159,21 @@ class Verdict:
 
 
 def _infeasibility_detail(mu: Measure, normalized: Measure, table: SupportTable) -> str:
-    """Exact diagnostics for a closed support with unequal weights."""
+    """Exact diagnostics for a closed support with unequal weights.
+
+    The equality system ``(R L) beta = alpha``, ``sum(beta) = 1`` is built as
+    integer rows straight from the table.  ``L beta = mu * beta`` and
+    ``R gamma = gamma * mu`` (see :mod:`convreg.operators`), so
+    ``R L beta = (mu * beta) * mu = mu * beta * mu`` by associativity, and
+    column ``l`` of ``R L`` is ``mu * dirac(g_l) * mu``.  Its weight at
+    ``g_j`` is the sum of ``alpha_i alpha_k`` over the ``i, k`` with
+    ``g_i g_l g_k = g_j``, that is with ``mult[mult[i][l]][k] == j``.  With
+    ``D`` the lcm of the weight denominators and ``a = D alpha`` in
+    ``table.elements`` order, row ``j`` times ``D^2`` reads
+    ``(a * dirac(g_l) * a)(g_j)`` in column ``l`` and ``D a_j`` on the
+    right.  Scaling rows changes neither the kind nor the solution
+    (:func:`~convreg.linalg._eliminate`), so this is the rational system.
+    """
     x, wx = mu.atoms[0]
     y, wy = next((el, w) for el, w in mu.atoms if w != wx)
     pair = (
@@ -170,10 +183,17 @@ def _infeasibility_detail(mu: Measure, normalized: Measure, table: SupportTable)
     if len(normalized) > SYSTEM_DIAGNOSTIC_MAX_ATOMS:
         return pair
     weights = dict(normalized.atoms)
-    alpha = [weights[el] for el in table.elements]
-    rl = mat_mul(right_operator(alpha, table).matrix, left_operator(alpha, table).matrix)
-    stacked = RationalMatrix.from_rows([*rl.entries, [1] * table.size])
-    kind, solution = gaussian_solve(stacked, [*alpha, Fraction(1)])
+    d = math.lcm(*(w.denominator for w in weights.values()))
+    a = [weights[el].numerator * (d // weights[el].denominator) for el in table.elements]
+    n, mult = table.size, table.mult
+    rows = [[0] * n + [d * aj] for aj in a]
+    for l in range(n):
+        for i, ai in enumerate(a):
+            left = mult[mult[i][l]]
+            for k, ak in enumerate(a):
+                rows[left[k]][l] += ai * ak
+    rows.append([1] * (n + 1))
+    kind, solution = _eliminate(rows, n)
     # Q[H] is semisimple (Maschke), so the system is consistent; a nonnegative
     # solution would be a generalized inverse, which the closed form rules out.
     if kind == "none" or min(solution) >= 0:

@@ -13,6 +13,7 @@ from convreg import (
     mat_vec,
 )
 from convreg.errors import DimensionMismatch
+from convreg.linalg import _cleared, _eliminate
 
 
 def M(rows):
@@ -164,3 +165,15 @@ def test_integer_kernels_equal_the_fraction_references(case):
     if kind != "none":
         assert all(type(v) is F for v in x)
         assert mat_vec(a, x) == rhs
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(systems(), st.lists(st.integers(-10**6, 10**6).filter(bool), min_size=9, max_size=9))
+def test_row_scaling_changes_neither_kind_nor_solution(case, scales):
+    # Each cleared augmented row times its own nonzero integer, sign included.
+    a, _, rhs, _ = case
+    rows = [
+        [scale * v for v in _cleared([*a.row(i), rhs[i]])[0]]
+        for i, scale in zip(range(a.rows), scales)
+    ]
+    assert _eliminate(rows, a.cols) == gaussian_solve(a, rhs)

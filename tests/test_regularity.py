@@ -1,5 +1,7 @@
 """Regularity decisions, certificates, Moore-Penrose inverses, and surveys."""
 
+import collections
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -27,7 +29,8 @@ from convreg import (
 )
 from convreg.errors import CapExceeded, CertificateInvalid
 from convreg.groups import load_perm
-from convreg.operators import SupportTable
+from convreg.linalg import RationalMatrix, gaussian_solve, mat_mul
+from convreg.operators import SupportTable, build_support_table, left_operator, right_operator
 
 Z2 = load_cayley("cayley 2\n0 1\n1 0\n")
 Z4 = load_cayley("cayley 4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n")
@@ -58,6 +61,37 @@ def moore_penrose(mu, ginverse):
     if convolve(convolve(mp, mu), mp) != mp:
         raise CertificateInvalid("mp * mu * mp != mp")
     return mp
+
+
+def reference_detail(mu):
+    """``(kind, detail)`` of the unequal-weight diagnostic, built from the
+    operator matrices: ``R L`` by ``mat_mul``, stacked over the all-ones row
+    and solved over the rationals."""
+    x, wx = mu.atoms[0]
+    y, wy = next((el, w) for el, w in mu.atoms if w != wx)
+    pair = (
+        f"atoms {x} and {y} carry the unequal weights {wx} and {wy}, but a "
+        "regular measure is uniform on a coset of a finite subgroup"
+    )
+    normalized = convolve(dirac(x.inverse()), mu)
+    table = build_support_table(support(normalized))
+    alpha = [normalized.weight_of(el) for el in table.elements]
+    rl = mat_mul(right_operator(alpha, table).matrix, left_operator(alpha, table).matrix)
+    stacked = RationalMatrix.from_rows([*rl.entries, [1] * table.size])
+    kind, solution = gaussian_solve(stacked, [*alpha, F(1)])
+    pretty = ", ".join(str(v) for v in solution)
+    index = next(i for i, v in enumerate(solution) if v < 0)
+    if kind == "unique":
+        reason = (
+            f"the equality system has the unique solution ({pretty}), whose "
+            f"entry at index {index} is negative; no nonnegative solution exists"
+        )
+    else:
+        reason = (
+            f"the equality system is underdetermined; its particular solution "
+            f"({pretty}) is negative at index {index}"
+        )
+    return kind, f"{reason}; {pair}"
 
 
 def z2_uniform():
@@ -147,10 +181,10 @@ def test_underdetermined_system_names_a_negative_particular_solution():
 
 
 def test_large_skewed_support_names_unequal_weights_without_a_system(monkeypatch):
-    def forbidden(a, b):
+    def forbidden(rows, n):
         raise AssertionError("the equality system was built")
 
-    monkeypatch.setattr(convreg.regularity, "mat_mul", forbidden)
+    monkeypatch.setattr(convreg.regularity, "_eliminate", forbidden)
     elems = enumerate_group(A4)
     assert len(elems) == 12 > convreg.regularity.SYSTEM_DIAGNOSTIC_MAX_ATOMS
     mu = Measure(A4, [(el, F(2 if i == 0 else 1, 13)) for i, el in enumerate(elems)])
@@ -158,6 +192,67 @@ def test_large_skewed_support_names_unequal_weights_without_a_system(monkeypatch
     assert (verdict.status, verdict.reason) == ("not-regular", "system-infeasible")
     assert verdict.certificate is None
     assert "carry the unequal weights 2/13 and 1/13" in verdict.detail
+
+
+def unequal_on_cosets(elements, subgroups):
+    """Closed supports of at most 8 atoms in ``elements``, a group, with
+    unequal weights as ``{element: relative weight}``.
+
+    Every coset of every subgroup of 2 to 8 elements, with one atom twice as
+    heavy as the rest; and every subgroup with weights constant on the left
+    or right cosets of a proper nontrivial subgroup of it, one coset twice as
+    heavy, translated by each element.  The second kind makes ``R L``
+    singular.
+    """
+    subgroups = [h for h in subgroups if 2 <= len(h) <= 8]
+    for h in subgroups:
+        for coset in {frozenset(x * el for el in h) for x in elements}:
+            for heavy in coset:
+                yield {el: 2 if el == heavy else 1 for el in coset}
+        for k in subgroups:
+            if len(k) < len(h) and set(k) <= set(h):
+                for parts in (
+                    {frozenset(x * el for el in k) for x in h},
+                    {frozenset(el * x for el in k) for x in h},
+                ):
+                    for heavy in parts:
+                        for x in elements:
+                            yield {x * el: 2 if part == heavy else 1 for part in parts for el in part}
+
+
+def test_diagnostic_equals_the_operator_matrix_reference():
+    grig = GrigorchukGroup()
+    # <a,d> with respelled atoms: adadadad is the identity.
+    words = ["", "a", "d", "ad", "da", "ada", "dad", "adad"]
+    respelled = {grig.element(w): grig.element(w if i % 2 else "adadadad" + w)
+                 for i, w in enumerate(words)}
+    dihedral = [tuple(respelled[el] for el in closure(grig, pair))
+                for pair in itertools.combinations(respelled, 2)]
+    cases = [("<a,d>", grig, list(respelled), {frozenset(h): h for h in dihedral}.values())]
+    for name in builtin_names():
+        group = builtin_group(name)
+        subgroups = [[group.element(i) for i in s] for s in subgroups_of(group)]
+        cases.append((name, group, enumerate_group(group), subgroups))
+    kinds = collections.Counter()
+    seen = set()
+    for name, group, elements, subgroups in cases:
+        for relative in unequal_on_cosets(elements, subgroups):
+            key = frozenset(relative.items())
+            if key in seen:
+                continue
+            seen.add(key)
+            total = sum(relative.values())
+            mu = Measure(group, [(el, F(w, total)) for el, w in relative.items()])
+            if group is grig:
+                mu = Measure(group, [(respelled.get(el, el), w) for el, w in mu.atoms])
+            kind, detail = reference_detail(mu)
+            verdict = decide_regular(mu)
+            assert verdict.reason == "system-infeasible"
+            assert verdict.detail == detail, mu
+            kinds[name, kind] += 1
+    for name in ("S3", "D4", "Q8", "<a,d>"):
+        assert kinds[name, "unique"] > 0 and kinds[name, "many"] > 0, name
+    assert sum(kinds.values()) > 300
 
 
 def test_coset_uniform_certificates_are_the_inverse_point_mass():
