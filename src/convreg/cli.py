@@ -30,7 +30,7 @@ from .groups import (
     DEFAULT_ORDER_CAP,
     Group,
     GroupElement,
-    _natural,
+    _naturals,
     closure,
     load_group,
 )
@@ -61,11 +61,10 @@ def _int_at_least(low: int):
     """
 
     def parse(text: str) -> int:
-        value = _natural(text.removeprefix("-"))
-        if value is None:
+        digits = _naturals([text.removeprefix("-")])
+        if digits is None:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-        if text.startswith("-"):
-            value = -value
+        value = -digits[0] if text.startswith("-") else digits[0]
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value

@@ -251,9 +251,10 @@ class CayleyGroup(Group):
         s = text.strip()
         if s == "e":
             return self.identity()
-        i = _natural(s)
-        if i is None:
+        index = _naturals([s])
+        if index is None:
             raise ParseError(f"expected an element index, got {s!r}")
+        [i] = index
         if not 0 <= i < self.order:
             raise ParseError(f"element index {i} out of range 0..{self.order - 1}")
         return self.element(i)
@@ -343,8 +344,8 @@ def _parse_cycles(text: str, degree: int) -> tuple:
         if end < 0:
             raise ParseError(f"unbalanced parenthesis in {s!r}")
         body = s[pos + 1 : end].replace(",", " ").split()
-        cyc = [_natural(v) for v in body]
-        if None in cyc:
+        cyc = _naturals(body)
+        if cyc is None:
             raise ParseError(f"non-integer entry in cycle {s[pos:end + 1]!r}")
         for v in cyc:
             if not 0 <= v < degree:
@@ -433,13 +434,17 @@ _NOT_PRINTABLE = re.compile(r"[^\t -~]")
 _DIGITS = re.compile(r"[0-9]+")
 
 
-def _natural(text: str) -> int | None:
-    """``text`` as a nonnegative integer if it is ASCII digits only, else None.
+def _naturals(tokens: Sequence[str]) -> list[int] | None:
+    """Nonempty ``tokens`` as nonnegative integers if each is ASCII digits
+    only, else None.
 
     Every integer token of every input goes through here: ``int()`` alone
-    would also take a sign, ``_`` separators and non-ASCII digits.
+    would also take a sign, ``_`` separators and non-ASCII digits.  One match
+    of the concatenation tests them all, as each token is nonempty.
     """
-    return int(text) if _DIGITS.fullmatch(text) else None
+    if tokens and not _DIGITS.fullmatch("".join(tokens)):
+        return None
+    return list(map(int, tokens))
 
 
 def content_lines(text: str) -> list[tuple[int, str]]:
@@ -470,16 +475,17 @@ def load_cayley(text: str) -> CayleyGroup:
     tokens = header.split()
     if len(tokens) != 2 or tokens[0] != "cayley":
         raise ParseError(f"expected 'cayley <n>' header, got {header!r}", lineno)
-    n = _natural(tokens[1])
-    if n is None:
+    parsed = _naturals(tokens[1:])
+    if parsed is None:
         raise ParseError(f"bad group order {tokens[1]!r}", lineno)
+    [n] = parsed
     body = lines[1:]
     if len(body) != n:
         raise ParseError(f"expected {n} table rows, found {len(body)}")
     table = []
     for lineno, line in body:
-        row = [_natural(v) for v in line.split()]
-        if None in row:
+        row = _naturals(line.split())
+        if row is None:
             raise ParseError(f"non-integer table entry in {line!r}", lineno)
         if len(row) != n:
             raise ParseError(f"expected {n} entries, found {len(row)}", lineno)
@@ -496,9 +502,10 @@ def load_perm(text: str) -> PermGroup:
     tokens = header.split()
     if len(tokens) != 2 or tokens[0] != "perm":
         raise ParseError(f"expected 'perm <degree>' header, got {header!r}", lineno)
-    degree = _natural(tokens[1])
-    if degree is None:
+    parsed = _naturals(tokens[1:])
+    if parsed is None:
         raise ParseError(f"bad degree {tokens[1]!r}", lineno)
+    [degree] = parsed
     gens = []
     for lineno, line in lines[1:]:
         try:

@@ -73,7 +73,10 @@ most ``SYSTEM_DIAGNOSTIC_MAX_ATOMS`` atoms the exact solution of the equality
 system ``(R L) beta = alpha``, ``sum(beta) = 1`` over the normalized support,
 where ``L`` and ``R`` are the one-sided convolution operators of
 :mod:`convreg.operators`, and in every case one pair of atoms whose weights
-differ.
+differ.  No operator matrix is formed: ``R L beta = mu * beta * mu``, so the
+system is built as integer rows straight from the support table, ``n^3``
+multiply-adds, and solved by the integer elimination of
+:mod:`convreg.linalg` (see :func:`_infeasibility_detail`).
 
 Verdicts either carry a fully validated :class:`Certificate` or a reason
 (`support-not-closed` / `system-infeasible`) with exact diagnostics.
