@@ -56,8 +56,7 @@ class _Parser(argparse.ArgumentParser):
 def _int_at_least(low: int):
     """An argparse ``type`` for integers >= ``low``; rejections become usage errors.
 
-    A value is ASCII digits with an optional leading ``-``, so that a
-    negative one is named as below ``low``.
+    A leading ``-`` is read, so that a negative value is named as below ``low``.
     """
 
     def parse(text: str) -> int:

@@ -435,12 +435,11 @@ _DIGITS = re.compile(r"[0-9]+")
 
 
 def _naturals(tokens: Sequence[str]) -> list[int] | None:
-    """Nonempty ``tokens`` as nonnegative integers if each is ASCII digits
-    only, else None.
+    """Nonempty ``tokens`` as integers if all are ASCII digits, else None.
 
-    Every integer token of every input goes through here: ``int()`` alone
-    would also take a sign, ``_`` separators and non-ASCII digits.  One match
-    of the concatenation tests them all, as each token is nonempty.
+    Every integer of every input is read here; ``int()`` alone would also take
+    a sign, ``_`` and non-ASCII digits.  The tokens being nonempty, one match
+    of their concatenation tests them all.
     """
     if tokens and not _DIGITS.fullmatch("".join(tokens)):
         return None
