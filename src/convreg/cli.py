@@ -60,7 +60,7 @@ def _int_at_least(low: int):
     """
 
     def parse(text: str) -> int:
-        digits = _naturals([text.removeprefix("-")])
+        digits = _naturals(text.removeprefix("-"))
         if digits is None:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
         value = -digits[0] if text.startswith("-") else digits[0]

@@ -251,7 +251,7 @@ class CayleyGroup(Group):
         s = text.strip()
         if s == "e":
             return self.identity()
-        index = _naturals([s])
+        index = _naturals(s)
         if index is None:
             raise ParseError(f"expected an element index, got {s!r}")
         [i] = index
@@ -344,7 +344,7 @@ def _parse_cycles(text: str, degree: int) -> tuple:
         if end < 0:
             raise ParseError(f"unbalanced parenthesis in {s!r}")
         body = s[pos + 1 : end].replace(",", " ").split()
-        cyc = _naturals(body)
+        cyc = _naturals(*body)
         if cyc is None:
             raise ParseError(f"non-integer entry in cycle {s[pos:end + 1]!r}")
         for v in cyc:
@@ -434,7 +434,7 @@ _NOT_PRINTABLE = re.compile(r"[^\t -~]")
 _DIGITS = re.compile(r"[0-9]+")
 
 
-def _naturals(tokens: Sequence[str]) -> list[int] | None:
+def _naturals(*tokens: str) -> list[int] | None:
     """Nonempty ``tokens`` as integers if all are ASCII digits, else None.
 
     Every integer of every input is read here; ``int()`` alone would also take
@@ -474,7 +474,7 @@ def load_cayley(text: str) -> CayleyGroup:
     tokens = header.split()
     if len(tokens) != 2 or tokens[0] != "cayley":
         raise ParseError(f"expected 'cayley <n>' header, got {header!r}", lineno)
-    parsed = _naturals(tokens[1:])
+    parsed = _naturals(tokens[1])
     if parsed is None:
         raise ParseError(f"bad group order {tokens[1]!r}", lineno)
     [n] = parsed
@@ -483,7 +483,7 @@ def load_cayley(text: str) -> CayleyGroup:
         raise ParseError(f"expected {n} table rows, found {len(body)}")
     table = []
     for lineno, line in body:
-        row = _naturals(line.split())
+        row = _naturals(*line.split())
         if row is None:
             raise ParseError(f"non-integer table entry in {line!r}", lineno)
         if len(row) != n:
@@ -501,7 +501,7 @@ def load_perm(text: str) -> PermGroup:
     tokens = header.split()
     if len(tokens) != 2 or tokens[0] != "perm":
         raise ParseError(f"expected 'perm <degree>' header, got {header!r}", lineno)
-    parsed = _naturals(tokens[1:])
+    parsed = _naturals(tokens[1])
     if parsed is None:
         raise ParseError(f"bad degree {tokens[1]!r}", lineno)
     [degree] = parsed
