@@ -215,9 +215,8 @@ def unequal_on_cosets(elements, subgroups):
                     {frozenset(x * el for el in k) for x in h},
                     {frozenset(el * x for el in k) for x in h},
                 ):
-                    for heavy in parts:
-                        for x in elements:
-                            yield {x * el: 2 if part == heavy else 1 for part in parts for el in part}
+                    for heavy, x in itertools.product(parts, elements):
+                        yield {x * el: 2 if part == heavy else 1 for part in parts for el in part}
 
 
 def test_diagnostic_equals_the_operator_matrix_reference():
@@ -244,7 +243,7 @@ def test_diagnostic_equals_the_operator_matrix_reference():
             total = sum(relative.values())
             mu = Measure(group, [(el, F(w, total)) for el, w in relative.items()])
             if group is grig:
-                mu = Measure(group, [(respelled.get(el, el), w) for el, w in mu.atoms])
+                mu = Measure(group, [(respelled[el], w) for el, w in mu.atoms])
             kind, detail = reference_detail(mu)
             verdict = decide_regular(mu)
             assert verdict.reason == "system-infeasible"
