@@ -335,7 +335,8 @@ def test_ginverse_bad_max_denominator_is_a_usage_error(
     ],
 )
 def test_integer_numerals_are_ascii_digits_only(tmp_path, files, capsys, argv, err):
-    # A name picks a fixture file; any other text is written to a file.
+    # A fixture name picks its file, text with a line break is written to a
+    # file, and any other argument is passed as it is.
     paths = []
     for i, text in enumerate(argv[1:3]):
         if text in files:
