@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import abc
 import itertools
+import operator
 import re
 from collections import deque
-from typing import Any, ClassVar, Iterable, Sequence
+from typing import Any, Callable, ClassVar, Iterable, Sequence
 
 from .errors import (
     BackendMismatch,
@@ -186,7 +187,7 @@ class CayleyGroup(Group):
     backend = "cayley"
 
     def __init__(self, table: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(v) for v in row) for row in table)
+        rows = tuple(_integers(row, f"table[{i}]") for i, row in enumerate(table))
         n = len(rows)
         if n == 0:
             raise NotAGroup("empty multiplication table")
@@ -219,21 +220,14 @@ class CayleyGroup(Group):
         index passes.  A group needs at most log2(n) generators.
         """
         n, t = self.order, self.table
-        gens: list[int] = []
-        reached = {0}
-        for g in range(n):
-            if g in reached:
-                continue
+
+        def column(g: int) -> list[int]:
             for x, y in itertools.product(range(n), repeat=2):
                 if t[t[x][g]][y] != t[x][t[g][y]]:
                     raise NotAGroup(f"associativity fails at (i, j, k) = ({x}, {g}, {y})")
-            gens.append(g)
-            frontier = list(reached)
-            while frontier:
-                z = frontier.pop()
-                new = {t[z][h] for h in gens} - reached
-                reached |= new
-                frontier += new
+            return [row[g] for row in t]
+
+        _generator_search(range(n), column)
 
     def _mul(self, x: int, y: int) -> int:
         return self.table[x][y]
@@ -288,7 +282,7 @@ class PermGroup(Group):
         self.degree = degree
         gens = []
         for gi, g in enumerate(generators):
-            img = tuple(int(v) for v in g)
+            img = _integers(g, f"generators[{gi}]")
             if len(img) != degree or set(img) != set(range(degree)):
                 raise NotAGroup(f"generator {gi} is not a bijection of 0..{degree - 1}")
             gens.append(img)
@@ -387,6 +381,35 @@ def _format_cycles(img: tuple) -> str:
 # Generated subgroups and enumeration
 
 
+def _generator_search(rep: Sequence[int], column: Callable[[int], list[int]]) -> tuple:
+    """Greedy generators of a finite group of indices, and how each index is reached.
+
+    Index 0 is the identity; ``rep[i]`` is the first index of the element at
+    ``i`` (repeated elements share it), and ``column(i)`` is the
+    right-multiplication column ``[index(g_j g_i) for j]``, which may raise
+    to stop the search.  Each generator is the least index not yet reached;
+    a breadth-first search from 0 by right products with the generators
+    reaches the others.  Returns the generator columns ``cols`` and one step
+    ``(k, p, t)`` per index ``k`` reached, in the order reached: ``k =
+    cols[t][p]``, so ``g_k = g_p s_t`` for the ``t``-th generator ``s_t``,
+    with ``p`` reached before ``k``.
+    """
+    order, reached = [0], {0}
+    columns, steps = [], []
+    for g, r in enumerate(rep):
+        if r in reached:
+            continue
+        columns.append(column(g))
+        for p in order:  # also visits the indices appended below
+            for t, col in enumerate(columns):
+                k = col[p]
+                if k not in reached:
+                    reached.add(k)
+                    order.append(k)
+                    steps.append((k, p, t))
+    return columns, steps
+
+
 def closure(
     group: Group,
     generators: Sequence[GroupElement],
@@ -444,6 +467,21 @@ def _naturals(*tokens: str) -> list[int] | None:
     if tokens and not _DIGITS.fullmatch("".join(tokens)):
         return None
     return list(map(int, tokens))
+
+
+def _integers(values: Iterable[Any], name: str) -> tuple[int, ...]:
+    """A library caller's ``values`` as exact integers (``operator.index``).
+
+    ``int()`` would truncate ``1.9`` to 1 and read ``'1'`` as 1; NotAGroup
+    names the first entry, ``name[j]``, that is not an integer.
+    """
+    out = []
+    for j, v in enumerate(values):
+        try:
+            out.append(operator.index(v))
+        except TypeError:
+            raise NotAGroup(f"{name}[{j}] = {v!r} is not an integer") from None
+    return tuple(out)
 
 
 def content_lines(text: str) -> list[tuple[int, str]]:

@@ -24,8 +24,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import BackendMismatch, ParseError
+from .errors import BackendMismatch, IdentityMissing, NotClosed, ParseError
 from .groups import Group, GroupElement, content_lines
+from .operators import _search
 
 __all__ = [
     "Measure",
@@ -154,9 +155,19 @@ def support(mu: Measure) -> tuple[GroupElement, ...]:
 
 
 def is_support_closed(mu: Measure) -> bool:
-    """Whether the support is closed under multiplication."""
-    keys = set(support(mu))
-    return all(g * h in keys for g in keys for h in keys)
+    """Whether the support is closed under multiplication.
+
+    A finite closed set holds ``e`` (some power of an atom is ``e``) and is
+    then a subgroup, so the support is closed exactly when it holds ``e`` and
+    the closure search of :mod:`convreg.operators` succeeds: ``n`` products a
+    generator, at most ``log2(n)`` generators.  Raises CapExceeded, before any
+    product, above ``DEFAULT_CLOSURE_CAP`` atoms.
+    """
+    try:
+        _search(support(mu))
+    except (IdentityMissing, NotClosed):
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Support tables and convolution operator matrices.
+"""The closure search of a support, support tables and convolution operators.
 
-For a measure whose support ``g_0 = e, g_1, …, g_n`` is closed under
-multiplication, the support is a finite subgroup and all convolution
-arithmetic restricted to it becomes index bookkeeping:
+A support ``g_0 = e, g_1, …, g_n`` closed under multiplication is a finite
+subgroup.  The closure search decides closure from a few generator columns
+alone; on a closed support, the table filled from them turns all convolution
+arithmetic restricted to it into index bookkeeping:
 
 * :class:`SupportTable` stores the index multiplication table
   ``mult[j][k] = index(g_j g_k)``; its rows are the left-translation
@@ -17,14 +18,16 @@ Row ``j`` of either matrix describes the output weight at atom ``g_j``;
 column index runs over the input atoms.  Both matrices are doubly stochastic:
 every row and column is a permutation of ``alpha``.
 
-:func:`build_support_table` computes only a few columns of the table with
-group products and fills the rest by index arithmetic.  It picks generators
-greedily, each the least index not yet reached, and computes for each
-generator ``s_t`` the right-multiplication column ``col_t[j] = index(g_j s_t)``:
-``n`` products a generator.  A breadth-first search from ``e`` by right
-products with the generators reaches every other atom as ``g_k = g_p s_t``
-with ``p`` reached before ``k``, and then ``mult[j][k] = col_t[mult[j][p]]``
-for every ``j``.
+:func:`build_support_table` is the closure search followed by the fill.  The
+search computes only a few columns of the table with group products.  It
+picks generators greedily (:func:`~convreg.groups._generator_search`, which
+Light's associativity test shares), each the least index not yet reached, and
+computes for each generator ``s_t`` the right-multiplication column
+``col_t[j] = index(g_j s_t)``: ``n`` products a generator.  A breadth-first
+search from ``e`` by right products with the generators reaches every other
+atom as ``g_k = g_p s_t`` with ``p`` reached before ``k``, one step
+``(k, p, t)`` each.  The fill then sets ``mult[j][k] = col_t[mult[j][p]]`` for
+every ``j``: index arithmetic, no products.
 
 Proof of the closure test.  Suppose every column product lies in the support
 ``K``.  The reached set is the monoid the generators generate, and it lies
@@ -38,11 +41,15 @@ scan then names the first such product.  A finite monoid inside a group is a sub
 (the inverse of ``s`` is a power of ``s``), so each new generator at least
 doubles the order of the reached subgroup and at most ``log2(n)`` are picked.
 
-:func:`~convreg.regularity.decide_regular` builds the table of every
-normalized support it decides: building it is the verdict's closure test,
-the product :class:`~convreg.errors.NotClosed` names is the witness, and a
-regular verdict's certificate is re-validated on it, after a check that
-every row and every column of ``mult`` is a permutation.
+:func:`~convreg.regularity.decide_regular` runs the search on every normalized
+support it decides and builds no table for a regular or open verdict: the
+search is the verdict's closure test, the product
+:class:`~convreg.errors.NotClosed` names is the witness, and a regular
+verdict's certificate is re-validated on the search's result, after a check
+that its steps reach every atom and that every generator column is a
+permutation (O(n g) for ``g`` generators).  Only the unequal-weight diagnostic
+fills the table, on at most ``SYSTEM_DIAGNOSTIC_MAX_ATOMS`` atoms, and
+:func:`~convreg.measures.is_support_closed` is the search alone.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import CapExceeded, DimensionMismatch, IdentityMissing, NotClosed
-from .groups import DEFAULT_CLOSURE_CAP, GroupElement
+from .groups import DEFAULT_CLOSURE_CAP, GroupElement, _generator_search
 from .linalg import RationalMatrix
 
 __all__ = [
@@ -90,6 +97,18 @@ def build_support_table(elements: Sequence[GroupElement]) -> SupportTable:
     escapes the support, when the support is not closed.  The identity is
     moved to index 0 if it is not already first.
     """
+    return _fill(_search(elements))
+
+
+def _search(elements: Sequence[GroupElement]) -> tuple:
+    """The closure test: ``(elements, index, rep, columns, steps)`` of a closed support.
+
+    ``elements`` is the support with the identity first, ``index`` maps each
+    element to its first position and ``rep[i]`` is that position for the
+    element at ``i``; ``columns`` and ``steps`` are those of
+    :func:`~convreg.groups._generator_search`.  Raises as
+    :func:`build_support_table` does.
+    """
     elems = list(elements)
     if len(elems) > DEFAULT_CLOSURE_CAP:
         raise CapExceeded(
@@ -103,46 +122,30 @@ def build_support_table(elements: Sequence[GroupElement]) -> SupportTable:
     elems.insert(0, elems.pop(elems.index(e)))
     index: dict[GroupElement, int] = {}
     rep = [index.setdefault(el, i) for i, el in enumerate(elems)]
-    columns = _columns_from_generators(elems, index, rep)
-    if columns is None:
-        # Some product escapes, so the row-major scan finds a first one; it
-        # skips row and column 0, whose products with e cannot escape.
-        rest = elems[1:]
-        gj, gk = next((gj, gk) for gj in rest for gk in rest if gj * gk not in index)
-        raise NotClosed(f"{gj} * {gk} = {gj * gk} escapes the support")
-    mult = tuple(zip(*columns))
+
+    def column(g: int) -> list[int]:
+        s = elems[g]
+        col = [index.get(x * s) for x in elems]
+        if None in col:
+            # Some product escapes, so the row-major scan finds a first one; it
+            # skips row and column 0, whose products with e cannot escape.
+            rest = elems[1:]
+            gj, gk = next((gj, gk) for gj in rest for gk in rest if gj * gk not in index)
+            raise NotClosed(f"{gj} * {gk} = {gj * gk} escapes the support")
+        return col
+
+    return (elems, index, rep, *_generator_search(rep, column))
+
+
+def _fill(found: tuple) -> SupportTable:
+    """The table of a closed support from its :func:`_search`: one lookup an entry."""
+    elems, _, rep, gen_columns, steps = found
+    columns = {0: rep}  # g_j e = g_j
+    for k, p, t in steps:  # g_k = g_p s_t, so mult[j][k] = col_t[mult[j][p]]
+        columns[k] = list(map(gen_columns[t].__getitem__, columns[p]))
+    mult = tuple(zip(*(columns[r] for r in rep)))
     # A finite closed set containing e is a subgroup, so every row holds e.
     return SupportTable(tuple(elems), mult, tuple(row.index(0) for row in mult))
-
-
-def _columns_from_generators(
-    elems: list[GroupElement], index: dict[GroupElement, int], rep: list[int]
-) -> list[list[int]] | None:
-    """Columns ``k -> [index(g_j g_k) for j]`` of the table, or None if not closed.
-
-    ``rep[i]`` is the first index of the element at ``i`` (repeated elements
-    share their first occurrence's index and column).
-    """
-    n = len(elems)
-    gen_columns: list[list[int]] = []
-    columns: list[list[int] | None] = [None] * n
-    columns[0] = rep
-    order = [0]
-    for g in range(n):
-        if columns[rep[g]] is not None:
-            continue
-        s = elems[g]
-        column = [index.get(x * s) for x in elems]
-        if None in column:
-            return None
-        gen_columns.append(column)
-        for p in order:  # also visits the atoms appended below
-            for col in gen_columns:
-                k = col[p]
-                if columns[k] is None:  # g_k = g_p s, so mult[j][k] = col[mult[j][p]]
-                    columns[k] = list(map(col.__getitem__, columns[p]))
-                    order.append(k)
-    return [columns[r] for r in rep]
 
 
 @dataclass(frozen=True)

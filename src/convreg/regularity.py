@@ -32,24 +32,35 @@ The decision procedure:
    preserves regularity).  Left multiplication is injective and keeps every
    weight, so this relabels the atoms (one product each) and re-sorts them,
    with no convolution and no merging;
-2. build the :class:`~convreg.operators.SupportTable` of the normalized
-   support: it is the closure test, and when some product escapes the
-   support the measure is not regular, the first escaping product in
-   row-major canonical order being the witness;
+2. run the closure search of :mod:`convreg.operators` on the normalized
+   support, which computes only its greedy generator columns: when some
+   product escapes the support the measure is not regular, the first escaping
+   product in row-major canonical order being the witness;
 3. otherwise the measure is regular exactly when its weights are all equal;
 4. the certificate ``nu = dirac(x^{-1})`` and the Moore-Penrose inverse
    ``mp = nu * mu * nu``, a two-sided translate that merges no atoms, are
-   re-validated on the table before they are issued.  With
-   ``N = dirac(x^{-1}) * mu`` on the table and ``r~ = r * dirac(x)`` for a
-   measure ``r``, ``mu * r * mu = dirac(x) * (N * r~ * N)``, so
+   re-validated on the search's result before they are issued.  With
+   ``N = dirac(x^{-1}) * mu`` on the support ``K`` and ``r~ = r * dirac(x)``
+   for a measure ``r``, ``mu * r * mu = dirac(x) * (N * r~ * N)``, so
    ``mu * r * mu = mu`` exactly when ``N * r~ * N = N``, and
-   ``mp * mu * mp = mp`` exactly when ``mp~ * N * mp~ = mp~``.  Once every
-   row and every column of the table is checked to be a permutation of its
-   indices, each identity is an O(n) test, by this lemma.
+   ``mp * mu * mp = mp`` exactly when ``mp~ * N * mp~ = mp~``.  Once the
+   search's steps are checked to reach every atom and every generator column
+   to be a permutation of the indices, each identity is an O(n) test, by the
+   lemma below, and the check itself costs O(n g) for ``g`` generators.
 
-   Lemma.  Take such a table, let ``1`` be the all-ones vector on it (``N``
-   with its weights, equal by step 3, scaled to integers) and let ``r`` be a
-   nonnegative integer vector on the table with total ``s``.  Then
+   Why that check is enough.  The closure proof of :mod:`convreg.operators`
+   gives ``K K ⊆ K`` from generator columns that lie inside ``K`` and steps
+   that reach every atom, and a finite closed set containing ``e`` is a
+   subgroup.  So the lemma holds on the group table of ``K``, whose rows and
+   columns are translations in a group, hence permutations, and which the
+   checks never build.  A generator column that repeats an index means the
+   element model has merged two distinct atoms (``g_j s = g_k s`` with
+   ``j != k``), and an unreached atom means the proof does not cover ``K``;
+   either can come only from a bug, and no certificate is issued then.
+
+   Lemma.  Take the group table of ``K``, let ``1`` be the all-ones vector on
+   it (``N`` with its weights, equal by step 3, scaled to integers) and let
+   ``r`` be a nonnegative integer vector on the table with total ``s``.  Then
    ``1 * r * 1 = s n 1`` and ``r * 1 * r = s^2 1``.
 
    Proof.  Column ``k`` being a permutation gives ``1 * dirac(k) = 1``, and
@@ -58,15 +69,13 @@ The decision procedure:
    ``r * 1 * r = s (r * 1) = s^2 1``.
 
    Normalized to probability measures, ``N * r~ * N = N`` whenever ``r~``
-   lies on the table, and ``mp~ * N * mp~ = N``.  So the first two
-   identities hold exactly when ``nu~`` and ``mp~`` lie on the table: an atom
-   off the subgroup ``K`` makes ``N * r~ * N`` leave ``K`` too.  The third
-   holds exactly when ``mp~ = N``, compared as exact element-to-weight maps
-   (right translation by ``x`` is injective, so no two atoms of ``mp`` merge
-   in ``mp~``).  On a group table these checks accept exactly the
-   certificates that convolving out the three identities accepts; a table
-   that fails the permutation check can come only from a bug, and no
-   certificate is issued on it.
+   lies on ``K``, and ``mp~ * N * mp~ = N``.  So the first two identities
+   hold exactly when ``nu~`` and ``mp~`` lie on ``K``: an atom off the
+   subgroup ``K`` makes ``N * r~ * N`` leave ``K`` too.  The third holds
+   exactly when ``mp~ = N``, compared as exact element-to-weight maps (right
+   translation by ``x`` is injective, so no two atoms of ``mp`` merge in
+   ``mp~``).  These checks accept exactly the certificates that convolving
+   out the three identities accepts.
 
 A closed support with unequal weights gets a diagnostic ``detail``: on at
 most ``SYSTEM_DIAGNOSTIC_MAX_ATOMS`` atoms the exact solution of the equality
@@ -75,8 +84,9 @@ where ``L`` and ``R`` are the one-sided convolution operators of
 :mod:`convreg.operators`, and in every case one pair of atoms whose weights
 differ.  No operator matrix is formed: ``R L beta = mu * beta * mu``, so the
 system is built as integer rows straight from the support table, ``n^3``
-multiply-adds, and solved by the integer elimination of
-:mod:`convreg.linalg` (see :func:`_infeasibility_detail`).
+multiply-adds, and solved by the integer elimination of :mod:`convreg.linalg`
+(see :func:`_infeasibility_detail`).  Only this diagnostic fills the table,
+from the closure search already run, and only on a support that small.
 
 Verdicts either carry a fully validated :class:`Certificate` or a reason
 (`support-not-closed` / `system-infeasible`) with exact diagnostics.
@@ -87,22 +97,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import CapExceeded, CertificateInvalid, NotClosed
 from .groups import DEFAULT_CLOSURE_CAP, Group, GroupElement, enumerate_group
 from .linalg import _eliminate
-from .measures import (  # convolve is unused here; perfbench wraps and tests it by this name
-    Measure,
-    _relabelled,
-    convolve,
-    dirac,
-    measure_to_json,
-    support,
-    translate,
-    uniform_on,
-)
-from .operators import SupportTable, build_support_table
+from .measures import Measure, _relabelled, dirac, measure_to_json, support, translate, uniform_on
+from .measures import convolve  # unused here; perfbench wraps and tests it by this name
+from .operators import _fill, _search
 
 __all__ = [
     "Certificate",
@@ -161,11 +162,13 @@ class Verdict:
         }
 
 
-def _infeasibility_detail(mu: Measure, normalized: Measure, table: SupportTable) -> str:
+def _infeasibility_detail(mu: Measure, normalized: Measure, found: tuple) -> str:
     """Exact diagnostics for a closed support with unequal weights.
 
-    The equality system ``(R L) beta = alpha``, ``sum(beta) = 1`` is built as
-    integer rows straight from the table.  ``L beta = mu * beta`` and
+    ``found`` is the closure search of the normalized support; the table is
+    filled from it only when the system will be solved.  The equality system
+    ``(R L) beta = alpha``, ``sum(beta) = 1`` is built as integer rows
+    straight from the table.  ``L beta = mu * beta`` and
     ``R gamma = gamma * mu`` (see :mod:`convreg.operators`), so
     ``R L beta = (mu * beta) * mu = mu * beta * mu`` by associativity, and
     column ``l`` of ``R L`` is ``mu * dirac(g_l) * mu``.  Its weight at
@@ -185,6 +188,7 @@ def _infeasibility_detail(mu: Measure, normalized: Measure, table: SupportTable)
     )
     if len(normalized) > SYSTEM_DIAGNOSTIC_MAX_ATOMS:
         return pair
+    table = _fill(found)
     weights = dict(normalized.atoms)
     d = math.lcm(*(w.denominator for w in weights.values()))
     a = [weights[el].numerator * (d // weights[el].denominator) for el in table.elements]
@@ -216,15 +220,6 @@ def _infeasibility_detail(mu: Measure, normalized: Measure, table: SupportTable)
     return f"{reason}; {pair}"
 
 
-def _is_group_table(mult: Sequence[Sequence[int]]) -> bool:
-    """Whether every row and every column of ``mult`` is a permutation of its indices."""
-    n = len(mult)
-    indices = set(range(n))
-    return all(
-        len(line) == n and set(line) == indices for lines in (mult, zip(*mult)) for line in lines
-    )
-
-
 def decide_regular(mu: Measure) -> Verdict:
     """Decide whether ``mu`` has a generalized inverse, with certificate."""
     group = mu.group
@@ -234,7 +229,7 @@ def decide_regular(mu: Measure) -> Verdict:
     xinv = x.inverse()
     normalized = mu if trivial else _relabelled(group, [(xinv * el, w) for el, w in mu.atoms])
     try:
-        table = build_support_table(support(normalized))
+        found = _search(support(normalized))
     except NotClosed as exc:
         prefix = "" if trivial else f"after left translation by {xinv}, "
         return Verdict(
@@ -253,26 +248,32 @@ def decide_regular(mu: Measure) -> Verdict:
             "not-regular",
             "system-infeasible",
             mu,
-            detail=_infeasibility_detail(mu, normalized, table),
+            detail=_infeasibility_detail(mu, normalized, found),
         )
     ginverse = dirac(x if trivial else xinv)  # x keeps its own spelling (word backend)
     nu = ginverse.atoms[0][0]
     mp = translate(mu, nu, nu)
-    if not _is_group_table(table.mult):
+    # Step 4: the search's steps, replayed from e, reach every atom, and each
+    # generator column is a permutation of the indices.  O(n g) for g generators.
+    elems, index, _, columns, steps = found
+    full, reached = set(range(len(elems))), {0}
+    for k, p, t in steps:
+        if p in reached and columns[t][p] == k:
+            reached.add(k)
+    if reached != full or any(len(col) != len(elems) or set(col) != full for col in columns):
         raise CertificateInvalid("the support table is not the table of a subgroup")
-    on_table = set(table.elements)
-    if nu * x not in on_table:
+    if nu * x not in index:
         raise CertificateInvalid(
             "the inverse failed re-validation: mu * nu * mu != mu for the claimed inverse"
         )
     mp_shifted = {el * x: w for el, w in mp.atoms}
-    if not on_table.issuperset(mp_shifted):
+    if not index.keys() >= mp_shifted.keys():
         raise CertificateInvalid("mu * mp * mu != mu")
     if mp_shifted != dict(normalized.atoms):
         raise CertificateInvalid("mp * mu * mp != mp")
     checks = {
         "support_closed": True,
-        "ginverse_identity": True,  # mu * nu * mu == mu, re-verified on the table
+        "ginverse_identity": True,  # mu * nu * mu == mu, re-verified on K
         "mp_left": True,  # mu * mp * mu == mu
         "mp_right": True,  # mp * mu * mp == mp
     }

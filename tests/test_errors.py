@@ -5,8 +5,14 @@ from fractions import Fraction
 import pytest
 
 from convreg.bruteforce import brute_force_ginverse
-from convreg.errors import BackendMismatch, DimensionMismatch, IdentityMissing, ParseError
-from convreg.groups import closure, load_cayley, load_perm
+from convreg.errors import (
+    BackendMismatch,
+    DimensionMismatch,
+    IdentityMissing,
+    NotAGroup,
+    ParseError,
+)
+from convreg.groups import CayleyGroup, PermGroup, closure, load_cayley, load_perm
 from convreg.linalg import RationalMatrix, gaussian_solve
 from convreg.measures import Measure, translate, uniform_on
 from convreg.operators import build_support_table
@@ -80,6 +86,25 @@ CASES = [
         lambda: gaussian_solve(SQUARE, [1]),
         DimensionMismatch,
         "matrix has 2 rows but rhs has 1",
+    ),
+    # Library entries are read exactly: int() would truncate 1.9 and parse '0'.
+    (
+        "cayley-float-entry",
+        lambda: CayleyGroup([[0, 1], [1.9, 0.2]]),
+        NotAGroup,
+        "table[1][0] = 1.9 is not an integer",
+    ),
+    (
+        "cayley-string-entry",
+        lambda: CayleyGroup([["0", "1"], ["1", "0"]]),
+        NotAGroup,
+        "table[0][0] = '0' is not an integer",
+    ),
+    (
+        "perm-float-image",
+        lambda: PermGroup(3, [(1.7, 0.1, 2)]),
+        NotAGroup,
+        "generators[0][0] = 1.7 is not an integer",
     ),
     # The command line reaches these loaders only through load_group, which
     # refuses an empty file first.

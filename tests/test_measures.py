@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import convreg.operators
 from convreg import (
     GrigorchukGroup,
     Measure,
@@ -15,8 +16,8 @@ from convreg import (
     support,
     uniform_on,
 )
-from convreg.errors import BackendMismatch, ParseError
-from convreg.groups import PermGroup
+from convreg.errors import BackendMismatch, CapExceeded, ParseError
+from convreg.groups import GroupElement, PermGroup, enumerate_group, load_perm
 from convreg.measures import load_measure, measure_to_json, translate
 
 Z2 = load_cayley("cayley 2\n0 1\n1 0\n")
@@ -269,6 +270,34 @@ def test_support_closure_on_word_backend():
     g = GrigorchukGroup()
     assert is_support_closed(uniform_on(g, [g.element("a")])) is True
     assert is_support_closed(uniform_on(g, [g.element("a"), g.element("b")])) is False
+
+
+def test_support_closure_costs_n_products_a_generator(monkeypatch):
+    s4 = load_perm("perm 4\n(0 1)\n(0 1 2 3)\n")
+    mu = uniform_on(s4, enumerate_group(s4))
+    products = 0
+    mul = GroupElement.__mul__
+
+    def counting_mul(self, other):
+        nonlocal products
+        products += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(GroupElement, "__mul__", counting_mul)
+    assert is_support_closed(mu) is True
+    # 24 atoms times 3 greedy generators; testing every pair would take 576.
+    assert products == 72
+
+
+def test_support_closure_over_the_budget_raises_before_any_product(monkeypatch):
+    def forbidden(x, y):
+        raise AssertionError("a product was computed")
+
+    mu = uniform_on(Z4, enumerate_group(Z4))
+    monkeypatch.setattr(convreg.operators, "DEFAULT_CLOSURE_CAP", 3)
+    monkeypatch.setattr(Z4, "_mul", forbidden)
+    with pytest.raises(CapExceeded, match="support of 4 atoms exceeds the table budget of 3"):
+        is_support_closed(mu)
 
 
 # ---------------------------------------------------------------------------

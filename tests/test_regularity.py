@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 import convreg.measures
+import convreg.operators
 import convreg.regularity
 from convreg import (
     GrigorchukGroup,
@@ -20,7 +21,6 @@ from convreg import (
     decide_translated,
     dirac,
     enumerate_group,
-    is_support_closed,
     load_cayley,
     probe_uniform_subsets,
     subgroups_of,
@@ -30,7 +30,7 @@ from convreg import (
 from convreg.errors import CapExceeded, CertificateInvalid
 from convreg.groups import load_perm
 from convreg.linalg import RationalMatrix, gaussian_solve, mat_mul
-from convreg.operators import SupportTable, build_support_table, left_operator, right_operator
+from convreg.operators import build_support_table, left_operator, right_operator
 
 Z2 = load_cayley("cayley 2\n0 1\n1 0\n")
 Z4 = load_cayley("cayley 4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n")
@@ -322,60 +322,93 @@ def test_shifted_subgroup_uniform_is_regular():
     assert is_generalized_inverse(mu, cert.ginverse)
 
 
+def _counting(calls, key, function):
+    """``function`` counting its calls in ``calls[key]``."""
+
+    def counted(*args):
+        calls[key] += 1
+        return function(*args)
+
+    return counted
+
+
 @pytest.mark.parametrize(
     "payloads", [(0, 2), (1, 3)], ids=["identity-first", "translated-coset"]
 )
 def test_each_certificate_identity_is_checked_once_on_the_table(monkeypatch, payloads):
-    # No measure convolution at all: the translation normalization relabels
-    # the atoms, and the three certificate identities follow from one
-    # group-table check and O(n) tests on the table.
-    calls = {"convolve": 0, "group_table": 0}
-    is_group_table = convreg.regularity._is_group_table
-
-    def counting(mu, nu):
-        calls["convolve"] += 1
-        return convolve(mu, nu)
-
-    def counting_group_table(mult):
-        calls["group_table"] += 1
-        return is_group_table(mult)
-
+    # No measure convolution and no table at all: the translation
+    # normalization relabels the atoms, one closure search proves the support
+    # a subgroup, and the three certificate identities are O(n) tests on its
+    # result.
+    calls = {"convolve": 0, "search": 0, "fill": 0}
     for module in (convreg.measures, convreg.regularity):
-        monkeypatch.setattr(module, "convolve", counting)
-    monkeypatch.setattr(convreg.regularity, "_is_group_table", counting_group_table)
+        monkeypatch.setattr(module, "convolve", _counting(calls, "convolve", convolve))
+    for module in (convreg.operators, convreg.regularity):
+        monkeypatch.setattr(module, "_fill", _counting(calls, "fill", module._fill))
+    monkeypatch.setattr(
+        convreg.regularity, "_search", _counting(calls, "search", convreg.regularity._search)
+    )
     mu = Measure(Z4, [(Z4.element(p), F(1, 2)) for p in payloads])
     cert = decide_regular(mu).certificate
-    assert calls == {"convolve": 0, "group_table": 1}
-    assert not {"_table_convolve", "_reproduces"} & set(vars(convreg.regularity))
+    assert calls == {"convolve": 0, "search": 1, "fill": 0}
+    gone = {"_table_convolve", "_reproduces", "_is_group_table"}
+    assert not gone & set(vars(convreg.regularity))
     monkeypatch.undo()
     assert moore_penrose(mu, cert.ginverse) == cert.moore_penrose
 
 
-def _swapped(rows, j, k1, k2):
-    """``rows`` with the entries at ``(j, k1)`` and ``(j, k2)`` exchanged."""
-    row = list(rows[j])
-    row[k1], row[k2] = row[k2], row[k1]
-    return (*rows[:j], tuple(row), *rows[j + 1:])
+def _skewed(group):
+    """The whole group, its identity weighted twice."""
+    elems = enumerate_group(group)
+    weights = [F(2 if i == 0 else 1, len(elems) + 1) for i in range(len(elems))]
+    return Measure(group, list(zip(elems, weights)))
+
+
+@pytest.mark.parametrize(
+    "mu, reason, fills",
+    [
+        (uniform_on(S3, enumerate_group(S3)[:3]), "support-not-closed", 0),
+        (_skewed(A4), "system-infeasible", 0),  # 12 atoms: no system, no table
+        (_skewed(S3), "system-infeasible", 1),  # 6 atoms: the diagnostic solves
+    ],
+    ids=["open", "skewed-12-atoms", "skewed-6-atoms"],
+)
+def test_only_the_small_diagnostic_fills_a_table(monkeypatch, mu, reason, fills):
+    calls = {"search": 0, "fill": 0}
+    for module in (convreg.operators, convreg.regularity):
+        monkeypatch.setattr(module, "_fill", _counting(calls, "fill", module._fill))
+    monkeypatch.setattr(
+        convreg.regularity, "_search", _counting(calls, "search", convreg.regularity._search)
+    )
+    assert decide_regular(mu).reason == reason
+    assert calls == {"search": 1, "fill": fills}
+
+
+def _column_repeats_an_index(found):
+    """``found`` with one generator-column entry that no step reads set to the
+    entry before it, so that column repeats an index and every step holds."""
+    elems, index, rep, columns, steps = found
+    read = {(t, p) for _, p, t in steps}
+    t, j = next(
+        (t, j) for t, col in enumerate(columns) for j in range(len(col)) if (t, j) not in read
+    )
+    column = list(columns[t])
+    column[j] = column[j - 1]
+    return elems, index, rep, [*columns[:t], column, *columns[t + 1:]], steps
 
 
 @pytest.mark.parametrize(
     "corrupt",
     [
-        # Row 1 stays a permutation; columns 1 and 2 each repeat an index.
-        lambda mult: _swapped(mult, 1, 1, 2),
-        # Column 1 stays a permutation; rows 1 and 2 each repeat an index.
-        lambda mult: tuple(zip(*_swapped(tuple(zip(*mult)), 1, 1, 2))),
+        _column_repeats_an_index,
+        # The last atom reached is left unreached.
+        lambda found: (*found[:4], found[4][:-1]),
     ],
-    ids=["row-swapped", "column-swapped"],
+    ids=["generator-column-repeats-an-index", "atom-unreached"],
 )
 def test_corrupted_support_table_is_an_invalid_certificate(monkeypatch, corrupt):
-    build = convreg.regularity.build_support_table
-
-    def corrupted(elements):
-        table = build(elements)
-        return SupportTable(table.elements, corrupt(table.mult), table.inv_index)
-
-    monkeypatch.setattr(convreg.regularity, "build_support_table", corrupted)
+    search = convreg.regularity._search
+    monkeypatch.setattr(convreg.regularity, "_search", lambda elements: corrupt(search(elements)))
     mu = uniform_on(S3, enumerate_group(S3))
     with pytest.raises(CertificateInvalid, match="not the table of a subgroup"):
         decide_regular(mu)
@@ -573,18 +606,16 @@ def test_survey_four_point_cycle():
 
 
 def test_survey_tests_each_support_for_closure_once(monkeypatch):
-    calls = []
-    build = convreg.regularity.build_support_table
-
-    def counting(elements):
-        calls.append(1)
-        return build(elements)
-
-    monkeypatch.setattr(convreg.regularity, "build_support_table", counting)
+    calls = {"search": 0}
+    monkeypatch.setattr(
+        convreg.regularity, "_search", _counting(calls, "search", convreg.regularity._search)
+    )
     report = probe_uniform_subsets(Z4, 2)
-    assert len(calls) == len(report.cases) == 11
+    assert calls["search"] == len(report.cases) == 11
     for case in report.cases:
-        assert case.support_closed == is_support_closed(uniform_on(Z4, case.subset))
+        atoms = set(support(uniform_on(Z4, case.subset)))
+        # The reference multiplies every pair, independently of the search.
+        assert case.support_closed == all(g * h in atoms for g in atoms for h in atoms)
 
 
 def test_survey_klein_four_single_elements():
