@@ -469,3 +469,129 @@ def test_closed_stdout_exits_quietly_with_sigpipe_code(files, command, unbuffere
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == b""
+
+
+# ---------------------------------------------------------------------------
+# help and usage text
+
+_TOP_HELP = """\
+usage: convreg [-h] {check,ginverse,uniform,closure,order,probe} ...
+
+Exact-arithmetic regularity of finitely supported probability measures under
+convolution.
+
+positional arguments:
+  {check,ginverse,uniform,closure,order,probe}
+    check               decide regularity of a measure file
+    ginverse            grid-search a generalized inverse
+    uniform             decide the uniform measure on {e} plus arguments
+    closure             enumerate the subgroup generated by elements
+    order               order of one element
+    probe               survey uniform measures on all small subsets
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+_USAGE = {
+    "check": "usage: convreg check [-h] [--json] group measure\n",
+    "ginverse": "usage: convreg ginverse [-h] [--max-denominator D] [--json] group measure\n",
+    "uniform": "usage: convreg uniform [-h] [--json] group element [element ...]\n",
+    "closure": "usage: convreg closure [-h] [--max N] [--json] group element [element ...]\n",
+    "order": "usage: convreg order [-h] [--order-cap K] [--json] group element\n",
+    "probe": "usage: convreg probe [-h] [--max-set-size K] [--max N] [--json] group\n",
+}
+
+_SUBCOMMAND_HELP = {
+    "check": """
+positional arguments:
+  group       group file
+  measure     measure file
+
+options:
+  -h, --help  show this help message and exit
+  --json      machine-readable output
+""",
+    "ginverse": """
+positional arguments:
+  group                group file
+  measure              measure file
+
+options:
+  -h, --help           show this help message and exit
+  --max-denominator D  largest candidate weight denominator (default 8)
+  --json               machine-readable output
+""",
+    "uniform": """
+positional arguments:
+  group       group file
+  element
+
+options:
+  -h, --help  show this help message and exit
+  --json      machine-readable output
+""",
+    "closure": """
+positional arguments:
+  group       group file
+  element
+
+options:
+  -h, --help  show this help message and exit
+  --max N     enumeration budget (default 4096)
+  --json      machine-readable output
+""",
+    "order": """
+positional arguments:
+  group          group file
+  element
+
+options:
+  -h, --help     show this help message and exit
+  --order-cap K  largest exponent tried (default 65536)
+  --json         machine-readable output
+""",
+    "probe": """
+positional arguments:
+  group             group file
+
+options:
+  -h, --help        show this help message and exit
+  --max-set-size K  largest surveyed subset size (default 2)
+  --max N           group enumeration budget (default 4096)
+  --json            machine-readable output
+""",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        pytest.param(["--help"], _TOP_HELP, id="top"),
+        *(
+            pytest.param([command, "--help"], _USAGE[command] + text, id=command)
+            for command, text in _SUBCOMMAND_HELP.items()
+        ),
+    ],
+)
+def test_help_text_is_pinned(monkeypatch, capsys, argv, out):
+    # argparse wraps to the terminal width, which it reads from COLUMNS.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *argv) == (0, out, "")
+
+
+_REQUIRED = {
+    "check": "group, measure",
+    "ginverse": "group, measure",
+    "uniform": "group, element",
+    "closure": "group, element",
+    "order": "group, element",
+    "probe": "group",
+}
+
+
+@pytest.mark.parametrize("command", list(_REQUIRED))
+def test_missing_positional_usage_is_pinned(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    err = f"{_USAGE[command]}error: the following arguments are required: {_REQUIRED[command]}\n"
+    assert run(capsys, command) == (1, "", err)
