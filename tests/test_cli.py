@@ -595,3 +595,25 @@ def test_missing_positional_usage_is_pinned(monkeypatch, capsys, command):
     monkeypatch.setenv("COLUMNS", "80")
     err = f"{_USAGE[command]}error: the following arguments are required: {_REQUIRED[command]}\n"
     assert run(capsys, command) == (1, "", err)
+
+
+@pytest.mark.parametrize(
+    "weight, err",
+    [
+        # A weight is ASCII digits, a slash and ASCII digits, and nothing else,
+        # though Fraction() reads every form below as a number.
+        *(
+            pytest.param(w, f"error: line 2: bad weight {w!r}\n", id=w)
+            for w in ["0.5", ".5", "5e-1", "+1/2", "1_0/20", "-1/2", "1", "1/0"]
+        ),
+        pytest.param("0/5", "error: line 2: nonpositive weight 0\n", id="0/5"),
+        # A non-ASCII digit never reaches the weight: its line is rejected first.
+        pytest.param(
+            "１/2", "error: line 2: non-printable or non-ASCII character '\\udcef'\n", id="fullwidth"
+        ),
+    ],
+)
+def test_weight_is_num_slash_den_only(files, tmp_path, capsys, weight, err):
+    measure = tmp_path / "w.msr"
+    measure.write_text(f"0 1/2\n1 {weight}\n")
+    assert run(capsys, "check", files["z2"], str(measure)) == (1, "", err)
