@@ -21,6 +21,7 @@ constructor keeps every check.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable
 
@@ -40,6 +41,9 @@ __all__ = [
     "measure_to_json",
     "format_weight",
 ]
+
+# ASCII digits, a slash, and a denominator that is not all zeros.
+_WEIGHT = re.compile(r"[0-9]+/0*[1-9][0-9]*")
 
 
 def _merge_atoms(
@@ -177,30 +181,30 @@ def is_support_closed(mu: Measure) -> bool:
 def load_measure(text: str, group: Group) -> Measure:
     """Parse ``<element> <num>/<den>`` lines into a measure on ``group``.
 
-    Rejects nonpositive weights and weight sums different from one, with the
-    exact rational in the diagnostic.
+    A weight is exactly ``<num>/<den>`` in ASCII digits with ``den > 0``: no
+    sign, decimal point, exponent, ``_`` or bare integer, though
+    ``Fraction()`` reads all of them.  Rejects zero weights and weight sums
+    different from one, with the exact rational in the diagnostic.
     """
     pairs = []
-    total = Fraction(0)
     for lineno, line in content_lines(text):
         parts = line.rsplit(None, 1)
         if len(parts) != 2:
             raise ParseError(f"expected '<element> <num>/<den>', got {line!r}", lineno)
         element_text, weight_text = parts
-        try:
-            weight = Fraction(weight_text)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad weight {weight_text!r}", lineno) from None
-        if weight <= 0:
+        if not _WEIGHT.fullmatch(weight_text):
+            raise ParseError(f"bad weight {weight_text!r}", lineno)
+        weight = Fraction(weight_text)
+        if weight == 0:
             raise ParseError(f"nonpositive weight {weight}", lineno)
         try:
             el = group.parse_element(element_text)
         except ParseError as exc:
             raise ParseError(str(exc), lineno) from None
         pairs.append((el, weight))
-        total += weight
     if not pairs:
         raise ParseError("empty measure file")
+    total = sum(w for _, w in pairs)
     if total != 1:
         raise ParseError(f"weights sum to {total}, expected 1")
     return Measure(group, pairs)
