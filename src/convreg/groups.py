@@ -503,19 +503,22 @@ def content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def load_cayley(text: str) -> CayleyGroup:
-    """Parse a ``cayley <n>`` header plus n table rows."""
-    lines = content_lines(text)
+def _header(lines: list[tuple[int, str]], kind: str, param: str, what: str) -> int:
+    """The natural number of a ``<kind> <param>`` header, the first of ``lines``."""
     if not lines:
         raise ParseError("empty group file")
     lineno, header = lines[0]
     tokens = header.split()
-    if len(tokens) != 2 or tokens[0] != "cayley":
-        raise ParseError(f"expected 'cayley <n>' header, got {header!r}", lineno)
+    if len(tokens) != 2 or tokens[0] != kind:
+        raise ParseError(f"expected '{kind} <{param}>' header, got {header!r}", lineno)
     parsed = _naturals(tokens[1])
     if parsed is None:
-        raise ParseError(f"bad group order {tokens[1]!r}", lineno)
-    [n] = parsed
+        raise ParseError(f"bad {what} {tokens[1]!r}", lineno)
+    return parsed[0]
+
+
+def _cayley(lines: list[tuple[int, str]]) -> CayleyGroup:
+    n = _header(lines, "cayley", "n", "group order")
     body = lines[1:]
     if len(body) != n:
         raise ParseError(f"expected {n} table rows, found {len(body)}")
@@ -530,19 +533,8 @@ def load_cayley(text: str) -> CayleyGroup:
     return CayleyGroup(table)
 
 
-def load_perm(text: str) -> PermGroup:
-    """Parse a ``perm <degree>`` header plus one generator per line."""
-    lines = content_lines(text)
-    if not lines:
-        raise ParseError("empty group file")
-    lineno, header = lines[0]
-    tokens = header.split()
-    if len(tokens) != 2 or tokens[0] != "perm":
-        raise ParseError(f"expected 'perm <degree>' header, got {header!r}", lineno)
-    parsed = _naturals(tokens[1])
-    if parsed is None:
-        raise ParseError(f"bad degree {tokens[1]!r}", lineno)
-    [degree] = parsed
+def _perm(lines: list[tuple[int, str]]) -> PermGroup:
+    degree = _header(lines, "perm", "degree", "degree")
     gens = []
     for lineno, line in lines[1:]:
         try:
@@ -550,6 +542,16 @@ def load_perm(text: str) -> PermGroup:
         except ParseError as exc:
             raise ParseError(str(exc), lineno) from None
     return PermGroup(degree, gens)
+
+
+def load_cayley(text: str) -> CayleyGroup:
+    """Parse a ``cayley <n>`` header plus n table rows."""
+    return _cayley(content_lines(text))
+
+
+def load_perm(text: str) -> PermGroup:
+    """Parse a ``perm <degree>`` header plus one generator per line."""
+    return _perm(content_lines(text))
 
 
 def load_group(text: str) -> Group:
@@ -560,9 +562,9 @@ def load_group(text: str) -> Group:
     lineno, header = lines[0]
     keyword = header.split()[0]
     if keyword == "cayley":
-        return load_cayley(text)
+        return _cayley(lines)
     if keyword == "perm":
-        return load_perm(text)
+        return _perm(lines)
     if keyword == "grigorchuk":
         if header.split() != ["grigorchuk"]:
             raise ParseError(f"unexpected tokens after 'grigorchuk': {header!r}", lineno)
