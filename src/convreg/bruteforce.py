@@ -9,8 +9,11 @@ Candidates are Farey-style rational compositions: for each denominator
 nonnegative integers summing to ``q`` over the given support universe, in
 deterministic order (``q`` ascending, compositions reverse-lexicographic, so
 all mass on the first universe atom comes first).  Vectors whose entries
-share a common factor with ``q`` already appeared at a smaller denominator
-and are skipped.
+share a factor ``g > 1`` with ``q`` are tested too, though none of them can
+be the first hit: dividing the exact hit test ``sum_i k_i c_i = q D a``
+(below) by ``g`` shows that the integer vector ``k / g`` is a hit at the
+denominator ``q / g``, which was tested earlier.  So skipping them would
+change neither the first hit nor whether there is one.
 
 Each candidate is tested in scaled integers, which is exact.  Let ``D`` be
 the least common multiple of ``mu``'s weight denominators, so ``a = D mu``
@@ -29,8 +32,8 @@ The grid is therefore enumerated over the usable columns alone, and the
 others are never tested.  This changes neither the first hit nor its
 spelling: reverse-lexicographic order is descending tuple order, and two
 tuples that are zero at the dropped positions first differ at a kept one,
-so restricting the order to them keeps their relative order; zero parts do
-not change ``gcd(q, *parts)``.  When no column is usable there is no hit.
+so restricting the order to them keeps their relative order.  When no
+column is usable there is no hit.
 
 Each column is built once per call, stopping at its first product outside
 ``S``: at most ``m |S| (|S| + 1)`` group products, whatever
@@ -166,8 +169,6 @@ def brute_force_ginverse(
     for q in range(1, max_denominator + 1):
         goal = q * target
         for parts in _compositions(q, len(columns)):
-            if math.gcd(q, *parts) > 1:
-                continue  # already tested with a smaller denominator
             if sum(map(operator.mul, parts, columns)) == goal:
                 atoms = [(kept[i], Fraction(c, q)) for i, c in enumerate(parts) if c > 0]
                 return Measure(mu.group, atoms)
