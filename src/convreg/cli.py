@@ -13,27 +13,26 @@ Exit codes: 0 regular (or plain success), 2 not-regular (or no inverse found
 in the searched grid), 1 any error, 141 (128 + SIGPIPE) when the reader of
 standard output closed it early.  Verdicts and reports go to standard output;
 diagnostics go to standard error and never depend on the verdict.
+
+:func:`main` loads the group file once and passes the group to the command.
+Each command returns its exit code, its ``--json`` object and its text lines,
+and ``main`` alone prints one or the other.  One helper in
+:func:`_build_parser` declares every subcommand with its ``group`` argument,
+its ``--json`` flag and its command.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .bruteforce import brute_force_ginverse, candidate_universe
 from .errors import ConvregError
-from .groups import (
-    DEFAULT_CLOSURE_CAP,
-    DEFAULT_ORDER_CAP,
-    Group,
-    GroupElement,
-    _naturals,
-    closure,
-    load_group,
-)
+from .groups import DEFAULT_CLOSURE_CAP, DEFAULT_ORDER_CAP, Group, _naturals, closure, load_group
 from .measures import Measure, format_weight, load_measure, measure_to_json, uniform_on
 from .regularity import Verdict, decide_regular, probe_uniform_subsets
 
@@ -43,6 +42,9 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_REGULAR = 2
 EXIT_BROKEN_PIPE = 128 + 13  # as if killed by SIGPIPE
+
+# What a command hands to main: its exit code, its --json object and its text lines.
+_Output = tuple[int, dict, list[str]]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,129 +80,88 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_group(path: str) -> Group:
-    return load_group(_read(path))
-
-
-def _parse_elements(group: Group, texts: Sequence[str]) -> list[GroupElement]:
-    return [group.parse_element(t) for t in texts]
-
-
 def _format_measure(mu: Measure) -> str:
     return "  ".join(f"{el}={format_weight(w)}" for el, w in mu.atoms)
 
 
-def _print_verdict(verdict: Verdict) -> None:
-    print(f"status: {verdict.status}")
-    print(f"reason: {verdict.reason}")
-    print(f"subject: {_format_measure(verdict.subject)}")
+def _verdict(verdict: Verdict) -> _Output:
+    lines = [
+        f"status: {verdict.status}",
+        f"reason: {verdict.reason}",
+        f"subject: {_format_measure(verdict.subject)}",
+    ]
     cert = verdict.certificate
     if cert is not None:
-        print(f"ginverse: {_format_measure(cert.ginverse)}")
-        print(f"moore-penrose: {_format_measure(cert.moore_penrose)}")
+        lines.append(f"ginverse: {_format_measure(cert.ginverse)}")
+        lines.append(f"moore-penrose: {_format_measure(cert.moore_penrose)}")
         if cert.normalization is not None:
             left, right = cert.normalization
-            print(f"normalization: left={left} right={right}")
-        print("checks: " + ", ".join(k for k, v in cert.checks.items() if v))
+            lines.append(f"normalization: left={left} right={right}")
+        lines.append("checks: " + ", ".join(k for k, v in cert.checks.items() if v))
     if verdict.detail:
-        print(f"detail: {verdict.detail}")
+        lines.append(f"detail: {verdict.detail}")
+    code = EXIT_OK if verdict.status == "regular" else EXIT_NOT_REGULAR
+    return code, verdict.to_json_dict(), lines
 
 
-def _verdict_command(verdict: Verdict, args: argparse.Namespace) -> int:
-    if args.json:
-        print(json.dumps(verdict.to_json_dict(), indent=2))
-    else:
-        _print_verdict(verdict)
-    return EXIT_OK if verdict.status == "regular" else EXIT_NOT_REGULAR
+def _cmd_check(group: Group, args: argparse.Namespace) -> _Output:
+    return _verdict(decide_regular(load_measure(_read(args.measure), group)))
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    group = _load_group(args.group)
-    mu = load_measure(_read(args.measure), group)
-    return _verdict_command(decide_regular(mu), args)
+def _cmd_uniform(group: Group, args: argparse.Namespace) -> _Output:
+    elements = [group.parse_element(t) for t in args.elements]
+    return _verdict(decide_regular(uniform_on(group, elements)))
 
 
-def _cmd_uniform(args: argparse.Namespace) -> int:
-    group = _load_group(args.group)
-    mu = uniform_on(group, _parse_elements(group, args.elements))
-    return _verdict_command(decide_regular(mu), args)
-
-
-def _cmd_ginverse(args: argparse.Namespace) -> int:
-    group = _load_group(args.group)
+def _cmd_ginverse(group: Group, args: argparse.Namespace) -> _Output:
     mu = load_measure(_read(args.measure), group)
     universe = candidate_universe(mu)
     nu = brute_force_ginverse(mu, args.max_denominator, universe)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "found": nu is not None,
-                    "max_denominator": args.max_denominator,
-                    "universe": [str(el) for el in universe],
-                    "ginverse": measure_to_json(nu) if nu is not None else None,
-                },
-                indent=2,
-            )
-        )
-    elif nu is None:
-        print(
+    obj = {
+        "found": nu is not None,
+        "max_denominator": args.max_denominator,
+        "universe": [str(el) for el in universe],
+        "ginverse": measure_to_json(nu) if nu is not None else None,
+    }
+    if nu is None:
+        line = (
             "no generalized inverse on the candidate universe with "
             f"denominator <= {args.max_denominator}"
         )
-    else:
-        print(f"ginverse: {_format_measure(nu)}")
-    return EXIT_OK if nu is not None else EXIT_NOT_REGULAR
+        return EXIT_NOT_REGULAR, obj, [line]
+    return EXIT_OK, obj, [f"ginverse: {_format_measure(nu)}"]
 
 
-def _cmd_closure(args: argparse.Namespace) -> int:
-    group = _load_group(args.group)
-    gens = _parse_elements(group, args.elements)
-    elements = closure(group, gens, cap=args.max)
-    if args.json:
-        print(
-            json.dumps(
-                {"count": len(elements), "elements": [str(el) for el in elements]},
-                indent=2,
-            )
-        )
-    else:
-        print(f"{len(elements)} elements")
-        for el in elements:
-            print(str(el))
-    return EXIT_OK
+def _cmd_closure(group: Group, args: argparse.Namespace) -> _Output:
+    gens = [group.parse_element(t) for t in args.elements]
+    elements = [str(el) for el in closure(group, gens, cap=args.max)]
+    obj = {"count": len(elements), "elements": elements}
+    return EXIT_OK, obj, [f"{len(elements)} elements", *elements]
 
 
-def _cmd_order(args: argparse.Namespace) -> int:
-    group = _load_group(args.group)
+def _cmd_order(group: Group, args: argparse.Namespace) -> _Output:
     el = group.parse_element(args.element)
     n = el.order(cap=args.order_cap)
-    if args.json:
-        print(json.dumps({"element": str(el), "order": n}, indent=2))
-    else:
-        print(f"order({el}) = {n}")
-    return EXIT_OK
+    return EXIT_OK, {"element": str(el), "order": n}, [f"order({el}) = {n}"]
 
 
-def _cmd_probe(args: argparse.Namespace) -> int:
-    group = _load_group(args.group)
+def _cmd_probe(group: Group, args: argparse.Namespace) -> _Output:
     report = probe_uniform_subsets(group, args.max_set_size, cap=args.max)
-    if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2))
-        return EXIT_OK
-    print(f"backend: {report.backend}")
-    print(f"group order: {report.group_order}")
-    print(f"max subset size: {report.max_subset_size}")
+    lines = [
+        f"backend: {report.backend}",
+        f"group order: {report.group_order}",
+        f"max subset size: {report.max_subset_size}",
+    ]
     for case in report.cases:
         subset = "{" + ", ".join(str(el) for el in case.subset) + "}"
         closed = "closed" if case.support_closed else "not-closed"
-        print(f"  subset {subset}: support {closed}, {case.status} ({case.reason})")
-    print(
+        lines.append(f"  subset {subset}: support {closed}, {case.status} ({case.reason})")
+    lines.append(
         f"summary: {len(report.cases)} cases, {report.regular_count} regular, "
         f"{report.closed_count} support-closed, "
         f"regular iff support-closed: {'yes' if report.regular_iff_support_closed else 'no'}"
     )
-    return EXIT_OK
+    return EXIT_OK, report.to_json_dict(), lines
 
 
 def _build_parser() -> _Parser:
@@ -213,78 +174,67 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p: _Parser) -> None:
+    @contextlib.contextmanager
+    def command(name: str, func: Callable[..., _Output], help: str) -> Iterator[_Parser]:
+        # The body of the ``with`` adds the command's own arguments, so that
+        # they sit between ``group`` and ``--json`` in usage and help.
+        p = sub.add_parser(name, help=help)
+        p.add_argument("group", help="group file")
+        yield p
         p.add_argument("--json", action="store_true", help="machine-readable output")
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("check", help="decide regularity of a measure file")
-    p.add_argument("group", help="group file")
-    p.add_argument("measure", help="measure file")
-    common(p)
-    p.set_defaults(func=_cmd_check)
+    with command("check", _cmd_check, "decide regularity of a measure file") as p:
+        p.add_argument("measure", help="measure file")
 
-    p = sub.add_parser("ginverse", help="grid-search a generalized inverse")
-    p.add_argument("group", help="group file")
-    p.add_argument("measure", help="measure file")
-    p.add_argument(
-        "--max-denominator",
-        type=_int_at_least(1),
-        default=8,
-        metavar="D",
-        help="largest candidate weight denominator (default 8)",
-    )
-    common(p)
-    p.set_defaults(func=_cmd_ginverse)
+    with command("ginverse", _cmd_ginverse, "grid-search a generalized inverse") as p:
+        p.add_argument("measure", help="measure file")
+        p.add_argument(
+            "--max-denominator",
+            type=_int_at_least(1),
+            default=8,
+            metavar="D",
+            help="largest candidate weight denominator (default 8)",
+        )
 
-    p = sub.add_parser("uniform", help="decide the uniform measure on {e} plus arguments")
-    p.add_argument("group", help="group file")
-    p.add_argument("elements", nargs="+", metavar="element")
-    common(p)
-    p.set_defaults(func=_cmd_uniform)
+    with command("uniform", _cmd_uniform, "decide the uniform measure on {e} plus arguments") as p:
+        p.add_argument("elements", nargs="+", metavar="element")
 
-    p = sub.add_parser("closure", help="enumerate the subgroup generated by elements")
-    p.add_argument("group", help="group file")
-    p.add_argument("elements", nargs="+", metavar="element")
-    p.add_argument(
-        "--max",
-        type=_int_at_least(1),
-        default=DEFAULT_CLOSURE_CAP,
-        metavar="N",
-        help=f"enumeration budget (default {DEFAULT_CLOSURE_CAP})",
-    )
-    common(p)
-    p.set_defaults(func=_cmd_closure)
+    with command("closure", _cmd_closure, "enumerate the subgroup generated by elements") as p:
+        p.add_argument("elements", nargs="+", metavar="element")
+        p.add_argument(
+            "--max",
+            type=_int_at_least(1),
+            default=DEFAULT_CLOSURE_CAP,
+            metavar="N",
+            help=f"enumeration budget (default {DEFAULT_CLOSURE_CAP})",
+        )
 
-    p = sub.add_parser("order", help="order of one element")
-    p.add_argument("group", help="group file")
-    p.add_argument("element")
-    p.add_argument(
-        "--order-cap",
-        type=_int_at_least(1),
-        default=DEFAULT_ORDER_CAP,
-        metavar="K",
-        help=f"largest exponent tried (default {DEFAULT_ORDER_CAP})",
-    )
-    common(p)
-    p.set_defaults(func=_cmd_order)
+    with command("order", _cmd_order, "order of one element") as p:
+        p.add_argument("element")
+        p.add_argument(
+            "--order-cap",
+            type=_int_at_least(1),
+            default=DEFAULT_ORDER_CAP,
+            metavar="K",
+            help=f"largest exponent tried (default {DEFAULT_ORDER_CAP})",
+        )
 
-    p = sub.add_parser("probe", help="survey uniform measures on all small subsets")
-    p.add_argument("group", help="group file")
-    p.add_argument(
-        "--max-set-size",
-        type=_int_at_least(0),
-        default=2,
-        metavar="K",
-        help="largest surveyed subset size (default 2)",
-    )
-    p.add_argument(
-        "--max",
-        type=_int_at_least(1),
-        default=DEFAULT_CLOSURE_CAP,
-        metavar="N",
-        help=f"group enumeration budget (default {DEFAULT_CLOSURE_CAP})",
-    )
-    common(p)
-    p.set_defaults(func=_cmd_probe)
+    with command("probe", _cmd_probe, "survey uniform measures on all small subsets") as p:
+        p.add_argument(
+            "--max-set-size",
+            type=_int_at_least(0),
+            default=2,
+            metavar="K",
+            help="largest surveyed subset size (default 2)",
+        )
+        p.add_argument(
+            "--max",
+            type=_int_at_least(1),
+            default=DEFAULT_CLOSURE_CAP,
+            metavar="N",
+            help=f"group enumeration budget (default {DEFAULT_CLOSURE_CAP})",
+        )
 
     return parser
 
@@ -297,7 +247,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         except SystemExit as exc:  # argparse handles --help and usage errors
             code = int(exc.code or 0)
         else:
-            code = args.func(args)
+            code, obj, lines = args.func(load_group(_read(args.group)), args)
+            print(json.dumps(obj, indent=2) if args.json else "\n".join(lines))
         sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
         return code
     except BrokenPipeError:

@@ -601,7 +601,7 @@ def test_missing_positional_usage_is_pinned(monkeypatch, capsys, command):
     "weight, err",
     [
         # A weight is ASCII digits, a slash and ASCII digits, and nothing else,
-        # though Fraction() reads every form below as a number.
+        # though Fraction() reads every form below but 1/0 as a number.
         *(
             pytest.param(w, f"error: line 2: bad weight {w!r}\n", id=w)
             for w in ["0.5", ".5", "5e-1", "+1/2", "1_0/20", "-1/2", "1", "1/0"]
@@ -609,7 +609,9 @@ def test_missing_positional_usage_is_pinned(monkeypatch, capsys, command):
         pytest.param("0/5", "error: line 2: nonpositive weight 0\n", id="0/5"),
         # A non-ASCII digit never reaches the weight: its line is rejected first.
         pytest.param(
-            "１/2", "error: line 2: non-printable or non-ASCII character '\\udcef'\n", id="fullwidth"
+            "１/2",
+            "error: line 2: non-printable or non-ASCII character '\\udcef'\n",
+            id="fullwidth",
         ),
     ],
 )
