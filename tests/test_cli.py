@@ -154,6 +154,14 @@ _PINNED_GROUP_ERRORS = [
 _PINNED_MEASURE_ERRORS = [
     ("measure-one-token", "0 1/2\n1\n", "line 2: expected '<element> <num>/<den>', got '1'"),
     ("measure-bad-element", "0 1/2\n7 1/2\n", "line 2: element index 7 out of range 0..1"),
+    # Each line is checked in full (shape, weight, zero, element) before the total.
+    ("measure-weight-before-element", "0 1/2\n7 1/x\n", "line 2: bad weight '1/x'"),
+    ("measure-zero-before-total", "0 1/2\n1 00/3\n", "line 2: nonpositive weight 0"),
+    ("measure-element-before-total", "0 1/3\n1 1/3\n2 1/3\n",
+     "line 3: element index 2 out of range 0..1"),
+    ("measure-empty", "# no atoms\n", "empty measure file"),
+    ("measure-total-below-one", "0 1/2\n1 2/6\n", "weights sum to 5/6, expected 1"),
+    ("measure-total-integer", "0 2/2\n1 3/3\n", "weights sum to 2, expected 1"),
 ]
 
 

@@ -57,24 +57,18 @@ def test_cayley_rejects_identity_off_zero():
         load_cayley("cayley 2\n1 0\n0 1\n")
 
 
-def test_cayley_rejects_non_associative_table():
-    # Each row and column is a permutation fixing index 0 as identity, but
-    # (1*1)*2 != 1*(1*2) under this table.
-    text = "cayley 5\n" + "\n".join(
-        " ".join(str(v) for v in row)
-        for row in [
-            [0, 1, 2, 3, 4],
-            [1, 0, 3, 4, 2],
-            [2, 4, 0, 1, 3],
-            [3, 2, 4, 0, 1],
-            [4, 3, 1, 2, 0],
-        ]
-    )
-    with pytest.raises(NotAGroup):
-        load_cayley(text)
+# Each row and column is a permutation fixing index 0 as identity, but
+# (1*1)*2 != 1*(1*2) under this table.
+LOOP_5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
 
 
-def test_cayley_rejects_z128_with_one_intercalate_swap():
+def z128_intercalate():
     # Z128 with the 2x2 subsquare at rows 1, 65 and columns 3, 67 swapped:
     # still a Latin square with identity 0, but (1*1)*2 = 4 while
     # 1*(1*2) = 68.  Only three in a thousand triples fail, so a sampled
@@ -83,8 +77,41 @@ def test_cayley_rejects_z128_with_one_intercalate_swap():
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     for i in (1, 65):
         table[i][3], table[i][67] = table[i][67], table[i][3]
+    return table
+
+
+def test_cayley_rejects_non_associative_table():
+    text = "cayley 5\n" + "\n".join(" ".join(str(v) for v in row) for row in LOOP_5)
+    with pytest.raises(NotAGroup):
+        load_cayley(text)
+
+
+def test_cayley_rejects_z128_with_one_intercalate_swap():
     with pytest.raises(NotAGroup, match="associativity"):
+        CayleyGroup(z128_intercalate())
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        pytest.param(LOOP_5, "associativity fails at (i, j, k) = (1, 1, 2)", id="loop-5"),
+        pytest.param(
+            z128_intercalate(),
+            "associativity fails at (i, j, k) = (1, 1, 2)",
+            id="z128-intercalate",
+        ),
+        # Every row is a permutation; columns 1 and 2 are not, and 1 is named.
+        pytest.param(
+            [[0, 1, 2], [1, 2, 0], [2, 1, 0]],
+            "column 1 is not a permutation of 0..2",
+            id="column",
+        ),
+    ],
+)
+def test_cayley_names_the_first_failure(table, message):
+    with pytest.raises(NotAGroup) as err:
         CayleyGroup(table)
+    assert str(err.value) == message
 
 
 def test_cayley_accepts_large_group_tables():
