@@ -21,7 +21,6 @@ raises :class:`~convreg.errors.BackendMismatch`.
 from __future__ import annotations
 
 import abc
-import itertools
 import operator
 import re
 from collections import deque
@@ -39,6 +38,7 @@ from .errors import (
 __all__ = [
     "DEFAULT_ORDER_CAP",
     "DEFAULT_CLOSURE_CAP",
+    "MAX_PERM_DEGREE",
     "Group",
     "GroupElement",
     "CayleyGroup",
@@ -53,6 +53,8 @@ __all__ = [
 
 DEFAULT_ORDER_CAP = 2**16
 DEFAULT_CLOSURE_CAP = 4096
+# Every permutation of a PermGroup is a tuple of this many points at most.
+MAX_PERM_DEGREE = 2**16
 
 
 class Group(abc.ABC):
@@ -197,15 +199,13 @@ class CayleyGroup(Group):
                 raise NotAGroup(f"row {i} has {len(row)} entries, expected {n}")
             if set(row) != full:
                 raise NotAGroup(f"row {i} is not a permutation of 0..{n - 1}")
-        for j in range(n):
-            col = {rows[i][j] for i in range(n)}
-            if col != full:
+        for j, col in enumerate(zip(*rows)):
+            if set(col) != full:
                 raise NotAGroup(f"column {j} is not a permutation of 0..{n - 1}")
         for k in range(n):
-            if rows[0][k] != k:
-                raise NotAGroup(f"identity axiom fails: table[0][{k}] = {rows[0][k]}")
-            if rows[k][0] != k:
-                raise NotAGroup(f"identity axiom fails: table[{k}][0] = {rows[k][0]}")
+            for i, j in ((0, k), (k, 0)):
+                if rows[i][j] != k:
+                    raise NotAGroup(f"identity axiom fails: table[{i}][{j}] = {rows[i][j]}")
         self.table = rows
         self.order = n
         self._inverses = tuple(row.index(0) for row in rows)
@@ -218,12 +218,20 @@ class CayleyGroup(Group):
         ((xg)h)y = (xg)(hy) = x(g(hy)) = x((gh)y)``; each generator is the
         least index that right products of the earlier ones miss, so every
         index passes.  A group needs at most log2(n) generators.
+
+        For each ``x`` the test compares whole rows, ``(x g) y`` over all ``y``
+        against ``x (g y)`` over all ``y``, and scans for the first ``y`` only
+        on a mismatch, so it names the same first ``(x, g, y)`` as a triple
+        loop.  A generator exists only when ``n >= 2``, so ``itemgetter`` picks
+        at least two entries and returns a tuple.
         """
         n, t = self.order, self.table
 
         def column(g: int) -> list[int]:
-            for x, y in itertools.product(range(n), repeat=2):
-                if t[t[x][g]][y] != t[x][t[g][y]]:
+            pick = operator.itemgetter(*t[g])
+            for x, row in enumerate(t):
+                if t[row[g]] != pick(row):
+                    y = next(y for y in range(n) if t[t[x][g]][y] != t[x][t[g][y]])
                     raise NotAGroup(f"associativity fails at (i, j, k) = ({x}, {g}, {y})")
             return [row[g] for row in t]
 
@@ -279,6 +287,8 @@ class PermGroup(Group):
     def __init__(self, degree: int, generators: Iterable[Sequence[int]] = ()):
         if degree < 1:
             raise NotAGroup(f"degree must be >= 1, got {degree}")
+        if degree > MAX_PERM_DEGREE:
+            raise NotAGroup(f"degree {degree} exceeds the budget {MAX_PERM_DEGREE}")
         self.degree = degree
         gens = []
         for gi, g in enumerate(generators):
@@ -417,11 +427,13 @@ def closure(
 ) -> tuple[GroupElement, ...]:
     """The subgroup generated by ``generators``, as a canonically sorted tuple.
 
-    Breadth-first products of generators; on torsion groups inverses are
-    positive powers, so generator words reach the whole subgroup.  Raises
-    ClosureBudgetExceeded once more than ``cap`` distinct elements appear
-    (the Grigorchuk generators b, c together with a generate an infinite
-    group, for example).
+    Breadth-first right products from ``e`` reach the monoid the generators
+    generate.  When that monoid is finite it is a subgroup, since a finite
+    monoid inside a group is one: ``x`` has a repeated power ``x^i = x^(i+k)``,
+    so ``x^k = e`` and ``x^(k-1)`` is its inverse.  No torsion hypothesis is
+    used.  Raises ClosureBudgetExceeded once more than ``cap`` distinct
+    elements appear, as they do for every infinite monoid (the Grigorchuk
+    generators b, c together with a generate an infinite group, for example).
     """
     for g in generators:
         if g.group is not group:
@@ -469,19 +481,22 @@ def _naturals(*tokens: str) -> list[int] | None:
     return list(map(int, tokens))
 
 
-def _integers(values: Iterable[Any], name: str) -> tuple[int, ...]:
+def _integers(values: Sequence[Any], name: str) -> tuple[int, ...]:
     """A library caller's ``values`` as exact integers (``operator.index``).
 
     ``int()`` would truncate ``1.9`` to 1 and read ``'1'`` as 1; NotAGroup
-    names the first entry, ``name[j]``, that is not an integer.
+    names the first entry, ``name[j]``, that is not an integer, found by a
+    second scan only once the first pass has failed.
     """
-    out = []
-    for j, v in enumerate(values):
-        try:
-            out.append(operator.index(v))
-        except TypeError:
-            raise NotAGroup(f"{name}[{j}] = {v!r} is not an integer") from None
-    return tuple(out)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        for j, v in enumerate(values):
+            try:
+                operator.index(v)
+            except TypeError:
+                raise NotAGroup(f"{name}[{j}] = {v!r} is not an integer") from None
+        raise
 
 
 def content_lines(text: str) -> list[tuple[int, str]]:
@@ -535,6 +550,8 @@ def _cayley(lines: list[tuple[int, str]]) -> CayleyGroup:
 
 def _perm(lines: list[tuple[int, str]]) -> PermGroup:
     degree = _header(lines, "perm", "degree", "degree")
+    if degree > MAX_PERM_DEGREE:
+        raise ParseError(f"degree {degree} exceeds the budget {MAX_PERM_DEGREE}", lines[0][0])
     gens = []
     for lineno, line in lines[1:]:
         try:

@@ -15,12 +15,14 @@ guarantees them: both operands are on the same group, a product of positive
 weights is positive, the totals multiply to ``1 * 1 = 1``, and the dict
 merges equal elements (keeping the least spelling, as the constructor does).
 :func:`translate` relabels atoms by a two-sided product and is trusted the
-same way (its docstring has the proof), so it only re-sorts them.  The public
-constructor keeps every check.
+same way (its docstring has the proof), so it only re-sorts them, and
+:func:`load_measure` checks each line once and merges without re-checking.  The
+public constructor keeps every check.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable
@@ -62,6 +64,16 @@ def _merge_atoms(
     return sorted(((el, w) for el, w in acc.values()), key=lambda item: item[0].sort_key())
 
 
+def _sums_to_one(atoms: list[tuple[GroupElement, Fraction]]) -> bool:
+    """Whether the weights sum to one, in integers over the lcm of their denominators.
+
+    A ``Fraction`` sum would reduce by a gcd at every term; callers build one
+    only for the diagnostic.
+    """
+    d = math.lcm(*(w.denominator for _, w in atoms))
+    return sum(w.numerator * (d // w.denominator) for _, w in atoms) == d
+
+
 class Measure:
     """An immutable finitely supported probability measure."""
 
@@ -77,9 +89,8 @@ class Measure:
                 raise ValueError(f"weights must be positive, got {w}")
             checked.append((el, w))
         merged = _merge_atoms(checked)
-        total = sum((w for _, w in merged), Fraction(0))
-        if total != 1:
-            raise ValueError(f"weights must sum to 1, got {total}")
+        if not _sums_to_one(merged):
+            raise ValueError(f"weights must sum to 1, got {sum(w for _, w in merged)}")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "atoms", tuple(merged))
 
@@ -185,6 +196,12 @@ def load_measure(text: str, group: Group) -> Measure:
     sign, decimal point, exponent, ``_`` or bare integer, though
     ``Fraction()`` reads all of them.  Rejects zero weights and weight sums
     different from one, with the exact rational in the diagnostic.
+
+    Each line is checked once, in order: its shape, the weight's spelling, a
+    zero numerator, then the element, which ``group.parse_element`` returns on
+    ``group``.  The total is checked once over all lines.  Every weight is then
+    positive, every element is on ``group`` and the weights sum to one, so the
+    measure is built from the merged atoms without the constructor's re-checks.
     """
     pairs = []
     for lineno, line in content_lines(text):
@@ -194,20 +211,19 @@ def load_measure(text: str, group: Group) -> Measure:
         element_text, weight_text = parts
         if not _WEIGHT.fullmatch(weight_text):
             raise ParseError(f"bad weight {weight_text!r}", lineno)
-        weight = Fraction(weight_text)
-        if weight == 0:
-            raise ParseError(f"nonpositive weight {weight}", lineno)
+        num, den = map(int, weight_text.split("/"))
+        if num == 0:
+            raise ParseError("nonpositive weight 0", lineno)
         try:
             el = group.parse_element(element_text)
         except ParseError as exc:
             raise ParseError(str(exc), lineno) from None
-        pairs.append((el, weight))
+        pairs.append((el, Fraction(num, den)))
     if not pairs:
         raise ParseError("empty measure file")
-    total = sum(w for _, w in pairs)
-    if total != 1:
-        raise ParseError(f"weights sum to {total}, expected 1")
-    return Measure(group, pairs)
+    if not _sums_to_one(pairs):
+        raise ParseError(f"weights sum to {sum(w for _, w in pairs)}, expected 1")
+    return Measure._trusted(group, _merge_atoms(pairs))
 
 
 def format_weight(w: Fraction) -> str:

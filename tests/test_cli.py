@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -387,6 +388,17 @@ def test_closure_budget_error(files, capsys):
     code, _, err = run(capsys, "closure", files["grig"], "a", "b", "c", "--max", "40")
     assert code == 1
     assert "error:" in err
+
+
+def test_perm_degree_over_budget_is_one_error_line(tmp_path, files, capsys):
+    group = tmp_path / "huge.grp"
+    group.write_text("perm 1000000000\n(0 1)\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", str(group), files["uniform"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 1: degree 1000000000 exceeds the budget ")
+    assert err.count("\n") == 1
 
 
 def test_order_on_table_group(files, capsys):

@@ -18,7 +18,14 @@ from convreg.errors import (
     OrderBudgetExceeded,
     ParseError,
 )
-from convreg.groups import CayleyGroup, GroupElement, PermGroup, load_group, load_perm
+from convreg.groups import (
+    MAX_PERM_DEGREE,
+    CayleyGroup,
+    GroupElement,
+    PermGroup,
+    load_group,
+    load_perm,
+)
 
 Z2_TEXT = "cayley 2\n0 1\n1 0\n"
 Z4_TEXT = "cayley 4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n"
@@ -187,6 +194,20 @@ def test_load_perm_s3():
     g = load_perm(S3_PERM_TEXT)
     assert g.degree == 3
     assert len(enumerate_group(g)) == 6
+
+
+def test_perm_degree_budget_is_checked_before_any_allocation():
+    # Far above every degree a test, demo, catalog group or workload uses.
+    assert MAX_PERM_DEGREE >= 2**16
+    over = MAX_PERM_DEGREE + 1
+    with pytest.raises(NotAGroup) as err:
+        PermGroup(10**9)
+    assert str(err.value) == f"degree 1000000000 exceeds the budget {MAX_PERM_DEGREE}"
+    # The header's line is named, and no generator line is parsed.
+    with pytest.raises(ParseError) as err:
+        load_group(f"# big\nperm {over}\n(0 x)\n")
+    assert str(err.value) == f"line 2: degree {over} exceeds the budget {MAX_PERM_DEGREE}"
+    assert load_perm(f"perm {MAX_PERM_DEGREE}\n(0 1)\n").degree == MAX_PERM_DEGREE
 
 
 # ---------------------------------------------------------------------------

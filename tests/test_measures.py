@@ -142,19 +142,23 @@ def spelled(mu):
     return [(str(el), w) for el, w in mu.atoms]
 
 
-def test_convolve_core_matches_checked_constructor_on_every_backend():
-    rng = random.Random(12)
+def backend_pools():
+    """Z4, perm S3 and <a,d> with respelled atoms, each with elements to draw."""
     grig = GrigorchukGroup()
-    # <a,d> with respelled atoms: adadadad is the identity, so adadadada = a.
+    # adadadad is the identity, so adadadada = a.
     words = ["", "a", "d", "ad", "da", "ada", "dad", "adad",
              "adadadada", "adadadadd", "dadadada", "adadadadad"]
     s3 = PermGroup(3, [(1, 0, 2), (1, 2, 0)])
-    pools = [
+    return [
         (Z4, list(Z4.enumerate_elements(10))),
         (s3, list(s3.enumerate_elements(10))),
         (grig, [grig.element(w) for w in words]),
     ]
-    for group, elems in pools:
+
+
+def test_convolve_core_matches_checked_constructor_on_every_backend():
+    rng = random.Random(12)
+    for group, elems in backend_pools():
         for _ in range(40):
             mu, nu = (random_measure(rng, group, elems, max_support=4) for _ in range(2))
             prod = convolve(mu, nu)
@@ -326,6 +330,22 @@ def test_load_measure_diagnostics():
         load_measure("", Z2)
     with pytest.raises(ParseError):
         load_measure("0 1/2 extra\n", Z2)
+
+
+def test_load_measure_matches_checked_constructor_on_every_backend():
+    rng = random.Random(13)
+    for group, elems in backend_pools():
+        for _ in range(40):
+            # Repeated atoms, and weights such as 2/8 that are not in lowest terms.
+            atoms = rng.choices(elems, k=rng.randint(1, 6))
+            parts = [rng.randint(1, 5) for _ in atoms]
+            scale = rng.randint(1, 4)
+            lines = [f"{el} {k * scale}/{sum(parts) * scale}" for el, k in zip(atoms, parts)]
+            pairs = [(group.parse_element(str(el)), F(k, sum(parts))) for el, k in zip(atoms, parts)]
+            loaded = load_measure("\n".join(lines), group)
+            reference = Measure(group, pairs)
+            assert loaded == reference
+            assert spelled(loaded) == spelled(reference)
 
 
 def test_measure_json_roundtrip():
