@@ -197,8 +197,6 @@ def test_load_perm_s3():
 
 
 def test_perm_degree_budget_is_checked_before_any_allocation():
-    # Far above every degree a test, demo, catalog group or workload uses.
-    assert MAX_PERM_DEGREE >= 2**16
     over = MAX_PERM_DEGREE + 1
     with pytest.raises(NotAGroup) as err:
         PermGroup(10**9)
