@@ -150,6 +150,31 @@ _PINNED_GROUP_ERRORS = [
         "line 2: unexpected 'x' in cycle notation '(0 1)x'",
     ),
     ("cycle-non-integer", "perm 3\n(0 a)\n", "line 2: non-integer entry in cycle '(0 a)'"),
+    ("cycle-unbalanced", "perm 3\n(0 1\n", "line 2: unbalanced parenthesis in '(0 1'"),
+    ("cycle-point-out-of-range", "perm 3\n(0 3)\n", "line 2: point 3 out of range 0..2"),
+    ("cycle-repeated-point", "perm 3\n(0 0)\n", "line 2: repeated point in cycle '(0 0)'"),
+    ("cycle-nested-open", "perm 3\n((0 1)\n", "line 2: non-integer entry in cycle '((0 1)'"),
+    (
+        "cycle-extra-close",
+        "perm 3\n(0 1))\n",
+        "line 2: unexpected ')' in cycle notation '(0 1))'",
+    ),
+    (
+        "cycle-trailing-token",
+        "perm 3\n(0 1) x\n",
+        "line 2: unexpected 'x' in cycle notation '(0 1) x'",
+    ),
+    # A form feed after CR or CRLF breaks is named on its own line.
+    (
+        "form-feed-after-cr",
+        "cayley 2\r0 1\r1\f0\n",
+        "line 3: non-printable or non-ASCII character '\\x0c'",
+    ),
+    (
+        "form-feed-after-crlf",
+        "cayley 2\r\n0 1\r\n1\f0\r\n",
+        "line 3: non-printable or non-ASCII character '\\x0c'",
+    ),
 ]
 
 _PINNED_MEASURE_ERRORS = [
@@ -200,6 +225,15 @@ _PINNED_MEASURE_ERRORS = [
         *(
             pytest.param(Z2_TEXT, text, [], 1, "", f"error: {message}\n", id=name)
             for name, text, message in _PINNED_MEASURE_ERRORS
+        ),
+        pytest.param(
+            GRIG_TEXT,
+            "abx 1/1\n",
+            [],
+            1,
+            "",
+            "error: line 1: unknown generator 'x' (alphabet is a, b, c, d)\n",
+            id="measure-word-unknown-generator",
         ),
         # A form feed or vertical tab is an error on its line, not a line break.
         pytest.param(

@@ -78,6 +78,29 @@ def _random_word(rng: random.Random, max_len: int = 12) -> str:
     return "".join(rng.choice(LETTERS) for _ in range(rng.randrange(max_len + 1)))
 
 
+_KLEIN = {"bc": "d", "cb": "d", "bd": "c", "db": "c", "cd": "b", "dc": "b"}
+
+
+def _stack_reduce(letters: str) -> str:
+    """Reference normal form by a letter-at-a-time stack pass: push each
+    letter, then cancel a square or fold a Klein pair on top while one is
+    there; the first letter outside a, b, c, d raises as ``reduce_word`` does."""
+    out: list[str] = []
+    for ch in letters:
+        if ch not in LETTERS:
+            raise ParseError(f"unknown generator {ch!r} (alphabet is a, b, c, d)")
+        out.append(ch)
+        while len(out) >= 2:
+            pair = out[-2] + out[-1]
+            if pair[0] == pair[1]:
+                del out[-2:]
+            elif pair in _KLEIN:
+                out[-2:] = [_KLEIN[pair]]
+            else:
+                break
+    return "".join(out)
+
+
 # ---------------------------------------------------------------------------
 # Rewriting
 
@@ -110,6 +133,21 @@ def test_reduced_words_alternate():
         for u, v in zip(w, w[1:]):
             assert u != v
             assert not (u in "bcd" and v in "bcd")
+
+
+def test_reduce_word_matches_a_stack_reduction():
+    def outcome(reduce, word):
+        try:
+            return reduce(word)
+        except ParseError as exc:
+            return f"ParseError: {exc}"
+
+    rng = random.Random(3917)
+    for alphabet, count in ((LETTERS, 10000), (LETTERS * 4 + "xeA 1\u00e9(", 2000)):
+        for _ in range(count):
+            word = "".join(rng.choice(alphabet) for _ in range(rng.randrange(31)))
+            assert outcome(reduce_word, word) == outcome(_stack_reduce, word), word
+    assert outcome(reduce_word, "abxae") == "ParseError: unknown generator 'x' (alphabet is a, b, c, d)"
 
 
 def test_reduction_preserves_tree_action():

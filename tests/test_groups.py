@@ -164,6 +164,23 @@ def test_perm_cycles_compose_leftmost_last():
     # (0 1)(1 2) maps 2 -> 1 -> 0 via the right cycle first.
     el = g.parse_element("(0 1)(1 2)")
     assert el.payload == (1, 2, 0)
+    # Random cycle lists that share points, against a right-to-left product.
+    rng = random.Random(1207)
+    for _ in range(3000):
+        degree = rng.randint(1, 7)
+        cycles = [
+            rng.sample(range(degree), rng.randint(0, degree)) for _ in range(rng.randint(1, 5))
+        ]
+        text = rng.choice(["", " "]).join(
+            "(" + rng.choice([" ", ",", ", "]).join(map(str, c)) + ")" for c in cycles
+        )
+        image = []
+        for x in range(degree):
+            for cyc in reversed(cycles):
+                if x in cyc:
+                    x = cyc[(cyc.index(x) + 1) % len(cyc)]
+            image.append(x)
+        assert PermGroup(degree).parse_element(text).payload == tuple(image), text
 
 
 def test_perm_multiply_involution():
@@ -338,6 +355,24 @@ def test_lf_crlf_and_cr_end_lines(eol):
     with pytest.raises(ParseError) as err:
         load_cayley(eol.join(["cayley 2", "", "0 1", "1 x", ""]))
     assert str(err.value) == "line 4: non-integer table entry in '1 x'"
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("cayley 2\n\n0 1\n1\f0\n", 4),
+        ("cayley 2\r\n\r\n0 1\r\n1\f0\r\n", 4),
+        ("cayley 2\r\r0 1\r1\f0\r", 4),
+        ("cayley 2\r\n\r0 1\n1\f0", 4),
+        ("cayley 2\r\f\n0 1\n", 2),
+        ("\fcayley 2\n", 1),
+    ],
+    ids=["lf", "crlf", "cr", "mixed", "between-cr-and-lf", "first-character"],
+)
+def test_control_character_is_named_on_its_line_after_any_break(text, lineno):
+    with pytest.raises(ParseError) as err:
+        load_cayley(text)
+    assert str(err.value) == f"line {lineno}: non-printable or non-ASCII character '\\x0c'"
 
 
 # ---------------------------------------------------------------------------
