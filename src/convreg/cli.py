@@ -31,7 +31,7 @@ import sys
 from typing import Callable, Iterator, Sequence
 
 from .bruteforce import brute_force_ginverse, candidate_universe
-from .errors import ConvregError
+from .errors import ConvregError, ParseError
 from .groups import DEFAULT_CLOSURE_CAP, DEFAULT_ORDER_CAP, Group, _naturals, closure, load_group
 from .measures import Measure, format_weight, load_measure, measure_to_json, uniform_on
 from .regularity import Verdict, decide_regular, probe_uniform_subsets
@@ -62,7 +62,10 @@ def _int_at_least(low: int):
     """
 
     def parse(text: str) -> int:
-        digits = _naturals(text.removeprefix("-"))
+        try:
+            digits = _naturals(text.removeprefix("-"))
+        except ParseError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         if digits is None:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
         value = -digits[0] if text.startswith("-") else digits[0]

@@ -11,9 +11,10 @@ left subtree and ``g1`` on the right.  Products compose like functions:
 ``(g h)(x) = g(h(x))``.
 
 Word reduction applies ``xx -> empty`` and the Klein rules
-``bc = cb = d``, ``bd = db = c``, ``cd = dc = b`` with a stack pass; the
-system is length-reducing and confluent, so reduced words are the normal
-forms of the free product C2 * (C2 x C2).  The Grigorchuk group is a proper
+``bc = cb = d``, ``bd = db = c``, ``cd = dc = b``; the system is
+length-reducing and confluent, so reduced words are the normal forms of the
+free product C2 * (C2 x C2), and :func:`reduce_word` finds them by cutting a
+word into reduced pieces and joining those.  The Grigorchuk group is a proper
 quotient of that free product, so distinct reduced words can still denote
 equal elements (``adadadad`` is the identity).  Equality is therefore decided
 semantically: ``u == v`` iff ``u * v^-1`` is the identity, and identity
@@ -39,7 +40,8 @@ its hits and misses.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import re
+from functools import lru_cache, reduce
 
 from .errors import OrderBudgetExceeded, ParseError
 from .groups import DEFAULT_ORDER_CAP, Group, GroupElement
@@ -75,25 +77,25 @@ _KLEIN = {
 
 _FINGERPRINT_DEPTH = 4
 
+_NOT_A_LETTER = re.compile(r"[^abcd]")
+# The empty junctions between two a's or between two letters of {b, c, d}.
+_UNREDUCED_JUNCTION = re.compile(r"(?<=a)(?=a)|(?<=[bcd])(?=[bcd])")
+
 
 def reduce_word(letters: str) -> str:
-    """Normal form of a word: cancel squares, fold Klein pairs, repeat."""
-    out: list[str] = []
-    for ch in letters:
-        if ch not in _ALPHABET:
-            raise ParseError(f"unknown generator {ch!r} (alphabet is a, b, c, d)")
-        out.append(ch)
-        while len(out) >= 2:
-            x, y = out[-2], out[-1]
-            if x == y:
-                del out[-2:]
-            elif (x, y) in _KLEIN:
-                folded = _KLEIN[x, y]
-                del out[-2:]
-                out.append(folded)
-            else:
-                break
-    return "".join(out)
+    """Normal form of a word: cancel squares, fold Klein pairs, repeat.
+
+    A word is reduced exactly when ``a`` alternates with single letters of
+    {b, c, d}, so cutting it at every junction of two ``a``'s or of two
+    letters of {b, c, d} leaves reduced pieces.  :func:`_join` of two
+    reduced words is the normal form of their concatenation, so folding the
+    pieces left to right keeps a normal form of the word read so far, and by
+    confluence it is the one any order of rewriting reaches.
+    """
+    bad = _NOT_A_LETTER.search(letters)
+    if bad:
+        raise ParseError(f"unknown generator {bad.group()!r} (alphabet is a, b, c, d)")
+    return reduce(_join, _UNREDUCED_JUNCTION.split(letters))
 
 
 def _join(x: str, y: str) -> str:

@@ -39,6 +39,7 @@ __all__ = [
     "DEFAULT_ORDER_CAP",
     "DEFAULT_CLOSURE_CAP",
     "MAX_PERM_DEGREE",
+    "MAX_INTEGER_DIGITS",
     "Group",
     "GroupElement",
     "CayleyGroup",
@@ -55,6 +56,10 @@ DEFAULT_ORDER_CAP = 2**16
 DEFAULT_CLOSURE_CAP = 4096
 # Every permutation of a PermGroup is a tuple of this many points at most.
 MAX_PERM_DEGREE = 2**16
+# Every integer read from text has at most this many digits.  ``int()`` refuses
+# more than the interpreter's limit (4300 by default from Python 3.11), and
+# no setting of that limit is below 640.
+MAX_INTEGER_DIGITS = 640
 
 
 class Group(abc.ABC):
@@ -329,42 +334,38 @@ def _parse_cycles(text: str, degree: int) -> tuple:
     Fixed points may be omitted; ``e`` and ``()`` denote the identity.
     Cycles compose like functions (rightmost cycle applied first), which is
     immaterial for the usual disjoint-cycle spelling.
+
+    The text is cut at each ``)``, and each cycle is checked and composed in
+    turn, on its own points only: ``img[v] = img[next(v)]`` for every ``v``
+    of the cycle, all read before any is written.
     """
     s = text.strip()
     if s in ("e", "()"):
         return tuple(range(degree))
     if not s.startswith("("):
         raise ParseError(f"expected cycle notation, got {s!r}")
-    cycles = []
-    pos = 0
-    while pos < len(s):
-        ch = s[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch != "(":
-            raise ParseError(f"unexpected {ch!r} in cycle notation {s!r}")
-        end = s.find(")", pos)
-        if end < 0:
-            raise ParseError(f"unbalanced parenthesis in {s!r}")
-        body = s[pos + 1 : end].replace(",", " ").split()
-        cyc = _naturals(*body)
+    img = list(range(degree))
+    *pieces, tail = s.split(")")
+    for piece in pieces:
+        cycle = piece.lstrip()
+        if not cycle.startswith("("):
+            raise ParseError(f"unexpected {(cycle or ')')[0]!r} in cycle notation {s!r}")
+        cyc = _naturals(*cycle[1:].replace(",", " ").split())
         if cyc is None:
-            raise ParseError(f"non-integer entry in cycle {s[pos:end + 1]!r}")
+            raise ParseError(f"non-integer entry in cycle {cycle + ')'!r}")
         for v in cyc:
-            if not 0 <= v < degree:
+            if v >= degree:
                 raise ParseError(f"point {v} out of range 0..{degree - 1}")
         if len(set(cyc)) != len(cyc):
-            raise ParseError(f"repeated point in cycle {s[pos:end + 1]!r}")
-        if cyc:
-            cycles.append(cyc)
-        pos = end + 1
-    img = list(range(degree))
-    for cyc in cycles:
-        step = list(range(degree))
-        for i, v in enumerate(cyc):
-            step[v] = cyc[(i + 1) % len(cyc)]
-        img = [img[step[i]] for i in range(degree)]
+            raise ParseError(f"repeated point in cycle {cycle + ')'!r}")
+        images = [img[v] for v in cyc]
+        for v, w in zip(cyc, images[1:] + images[:1]):
+            img[v] = w
+    tail = tail.lstrip()
+    if tail:
+        if tail[0] == "(":
+            raise ParseError(f"unbalanced parenthesis in {s!r}")
+        raise ParseError(f"unexpected {tail[0]!r} in cycle notation {s!r}")
     return tuple(img)
 
 
@@ -465,19 +466,28 @@ def enumerate_group(group: Group, cap: int = DEFAULT_CLOSURE_CAP) -> tuple[Group
 
 
 _LINE_BREAK = re.compile(r"\r\n|\r|\n")
-_NOT_PRINTABLE = re.compile(r"[^\t -~]")
+_NOT_PRINTABLE = re.compile(r"[^\t\n\r -~]")
 _DIGITS = re.compile(r"[0-9]+")
 
 
-def _naturals(*tokens: str) -> list[int] | None:
+def _naturals(*tokens: str, line: int | None = None) -> list[int] | None:
     """Nonempty ``tokens`` as integers if all are ASCII digits, else None.
 
     Every integer of every input is read here; ``int()`` alone would also take
     a sign, ``_`` and non-ASCII digits.  The tokens being nonempty, one match
-    of their concatenation tests them all.
+    of their concatenation tests them all.  A token longer than
+    ``MAX_INTEGER_DIGITS`` is a ParseError on ``line``; the concatenation
+    bounds every token, so tokens are measured only when it is that long.
     """
-    if tokens and not _DIGITS.fullmatch("".join(tokens)):
+    joined = "".join(tokens)
+    if tokens and not _DIGITS.fullmatch(joined):
         return None
+    if len(joined) > MAX_INTEGER_DIGITS:
+        for t in tokens:
+            if len(t) > MAX_INTEGER_DIGITS:
+                raise ParseError(
+                    f"integer of {len(t)} digits exceeds the budget {MAX_INTEGER_DIGITS}", line
+                )
     return list(map(int, tokens))
 
 
@@ -505,12 +515,15 @@ def content_lines(text: str) -> list[tuple[int, str]]:
     Lines end at LF, CRLF or CR only.  Every other character must be 7-bit
     printable or a tab, so a control character such as a form feed is an
     error on its line, not a line break; ``#`` starts a whole-line comment.
+    One search of the whole text finds the first such character, and the
+    line breaks before it number its line.
     """
+    bad = _NOT_PRINTABLE.search(text)
+    if bad:
+        lineno = len(_LINE_BREAK.findall(text, 0, bad.start())) + 1
+        raise ParseError(f"non-printable or non-ASCII character {bad.group()!r}", lineno)
     out = []
     for lineno, raw in enumerate(_LINE_BREAK.split(text), start=1):
-        bad = _NOT_PRINTABLE.search(raw)
-        if bad:
-            raise ParseError(f"non-printable or non-ASCII character {bad.group()!r}", lineno)
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -526,7 +539,7 @@ def _header(lines: list[tuple[int, str]], kind: str, param: str, what: str) -> i
     tokens = header.split()
     if len(tokens) != 2 or tokens[0] != kind:
         raise ParseError(f"expected '{kind} <{param}>' header, got {header!r}", lineno)
-    parsed = _naturals(tokens[1])
+    parsed = _naturals(tokens[1], line=lineno)
     if parsed is None:
         raise ParseError(f"bad {what} {tokens[1]!r}", lineno)
     return parsed[0]
@@ -539,7 +552,7 @@ def _cayley(lines: list[tuple[int, str]]) -> CayleyGroup:
         raise ParseError(f"expected {n} table rows, found {len(body)}")
     table = []
     for lineno, line in body:
-        row = _naturals(*line.split())
+        row = _naturals(*line.split(), line=lineno)
         if row is None:
             raise ParseError(f"non-integer table entry in {line!r}", lineno)
         if len(row) != n:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import BackendMismatch, IdentityMissing, NotClosed, ParseError
-from .groups import Group, GroupElement, content_lines
+from .groups import Group, GroupElement, _naturals, content_lines
 from .operators import _search
 
 __all__ = [
@@ -197,28 +197,35 @@ def load_measure(text: str, group: Group) -> Measure:
     ``Fraction()`` reads all of them.  Rejects zero weights and weight sums
     different from one, with the exact rational in the diagnostic.
 
-    Each line is checked once, in order: its shape, the weight's spelling, a
-    zero numerator, then the element, which ``group.parse_element`` returns on
-    ``group``.  The total is checked once over all lines.  Every weight is then
-    positive, every element is on ``group`` and the weights sum to one, so the
-    measure is built from the merged atoms without the constructor's re-checks.
+    Each line is checked once, in order: its shape, the weight's spelling and
+    digit budget, a zero numerator, then the element, which
+    ``group.parse_element`` returns on ``group``.  A weight spelling is read
+    on the first line that has it; a later line with the same spelling
+    reuses that ``Fraction``, as it would pass the same checks.  The total
+    is checked once over all lines.  Every weight is then positive, every
+    element is on ``group`` and the weights sum to one, so the measure is
+    built from the merged atoms without the constructor's re-checks.
     """
     pairs = []
+    weights: dict[str, Fraction] = {}
     for lineno, line in content_lines(text):
         parts = line.rsplit(None, 1)
         if len(parts) != 2:
             raise ParseError(f"expected '<element> <num>/<den>', got {line!r}", lineno)
         element_text, weight_text = parts
-        if not _WEIGHT.fullmatch(weight_text):
-            raise ParseError(f"bad weight {weight_text!r}", lineno)
-        num, den = map(int, weight_text.split("/"))
-        if num == 0:
-            raise ParseError("nonpositive weight 0", lineno)
+        w = weights.get(weight_text)
+        if w is None:
+            if not _WEIGHT.fullmatch(weight_text):
+                raise ParseError(f"bad weight {weight_text!r}", lineno)
+            num, den = _naturals(*weight_text.split("/"), line=lineno)
+            if num == 0:
+                raise ParseError("nonpositive weight 0", lineno)
+            w = weights[weight_text] = Fraction(num, den)
         try:
             el = group.parse_element(element_text)
         except ParseError as exc:
             raise ParseError(str(exc), lineno) from None
-        pairs.append((el, Fraction(num, den)))
+        pairs.append((el, w))
     if not pairs:
         raise ParseError("empty measure file")
     if not _sums_to_one(pairs):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from convreg.cli import main
+from convreg.groups import MAX_INTEGER_DIGITS
 
 Z2_TEXT = "cayley 2\n0 1\n1 0\n"
 Z4_TEXT = "cayley 4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n"
@@ -397,6 +398,62 @@ def test_integer_option_is_ascii_digits_only(files, capsys):
     code, out, err = run(capsys, "closure", files["z2"], "1", "--max", "1_0")
     assert (code, out) == (1, "")
     assert err.endswith("error: argument --max: invalid int value: '1_0'\n")
+
+
+# More digits than int() converts by default (4300), so each of these ended
+# in a ValueError traceback before integers had a digit budget.
+_BIG = "9" * 5000
+_OVER = f"integer of 5000 digits exceeds the budget {MAX_INTEGER_DIGITS}"
+
+
+@pytest.mark.parametrize(
+    "group_text, measure_text, err",
+    [
+        pytest.param(f"cayley {_BIG}\n", "0 1/2\n", f"line 1: {_OVER}", id="cayley-header"),
+        pytest.param(f"perm {_BIG}\n(0 1)\n", "e 1/1\n", f"line 1: {_OVER}", id="perm-header"),
+        pytest.param(f"cayley 2\n0 1\n1 {_BIG}\n", "0 1/1\n", f"line 3: {_OVER}", id="table-entry"),
+        pytest.param(S3_TEXT + f"(0 {_BIG})\n", "e 1/1\n", f"line 4: {_OVER}", id="cycle-point"),
+        pytest.param(Z2_TEXT, f"0 1/2\n{_BIG} 1/2\n", f"line 2: {_OVER}", id="element-index"),
+        pytest.param(S3_TEXT, f"e 1/2\n(0 {_BIG}) 1/2\n", f"line 2: {_OVER}", id="measure-cycle"),
+        pytest.param(Z2_TEXT, f"0 1/2\n1 {_BIG}/2\n", f"line 2: {_OVER}", id="numerator"),
+        pytest.param(Z2_TEXT, f"0 1/2\n1 1/{_BIG}\n", f"line 2: {_OVER}", id="denominator"),
+    ],
+)
+def test_integer_over_the_digit_budget_is_one_error_line(
+    tmp_path, capsys, group_text, measure_text, err
+):
+    group, measure = tmp_path / "g.grp", tmp_path / "m.msr"
+    group.write_text(group_text)
+    measure.write_text(measure_text)
+    assert run(capsys, "check", str(group), str(measure)) == (1, "", f"error: {err}\n")
+
+
+def test_integer_arguments_over_the_digit_budget_are_errors(files, capsys):
+    assert run(capsys, "order", files["z2"], _BIG) == (1, "", f"error: {_OVER}\n")
+    code, out, err = run(capsys, "closure", files["z2"], "1", "--max", _BIG)
+    assert (code, out) == (1, "")
+    assert err.endswith(f"error: argument --max: {_OVER}\n")
+
+
+def test_integers_at_the_digit_budget_are_read(tmp_path, capsys):
+    # 10^k / (2·10^k) = 1/2, both terms exactly at the budget; one more digit
+    # in the denominator is over it.
+    num, den = "1" + "0" * (MAX_INTEGER_DIGITS - 1), "2" + "0" * (MAX_INTEGER_DIGITS - 1)
+    group, measure = tmp_path / "g.grp", tmp_path / "m.msr"
+    group.write_text(Z2_TEXT)
+    measure.write_text(f"0 {num}/{den}\n1 {num}/{den}\n")
+    code, out, _ = run(capsys, "check", str(group), str(measure))
+    assert (code, out.splitlines()[2]) == (0, "subject: 0=1/2  1=1/2")
+    measure.write_text(f"0 1/2\n1 {num}/{den}0\n")
+    assert run(capsys, "check", str(group), str(measure)) == (
+        1,
+        "",
+        f"error: line 2: integer of {MAX_INTEGER_DIGITS + 1} digits exceeds the budget "
+        f"{MAX_INTEGER_DIGITS}\n",
+    )
+    group.write_text(f"perm {num}\n")
+    code, _, err = run(capsys, "check", str(group), str(measure))
+    assert (code, err) == (1, f"error: line 1: degree {num} exceeds the budget 65536\n")
 
 
 def test_ginverse_json(files, capsys):
