@@ -516,14 +516,15 @@ def content_lines(text: str) -> list[tuple[int, str]]:
     printable or a tab, so a control character such as a form feed is an
     error on its line, not a line break; ``#`` starts a whole-line comment.
     One search of the whole text finds the first such character, and the
-    line breaks before it number its line.
+    line breaks before it number its line.  Past that search, LF, CRLF and
+    CR are the only breaks ``str.splitlines`` can meet.
     """
     bad = _NOT_PRINTABLE.search(text)
     if bad:
         lineno = len(_LINE_BREAK.findall(text, 0, bad.start())) + 1
         raise ParseError(f"non-printable or non-ASCII character {bad.group()!r}", lineno)
     out = []
-    for lineno, raw in enumerate(_LINE_BREAK.split(text), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
