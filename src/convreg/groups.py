@@ -348,7 +348,7 @@ def _parse_cycles(text: str, degree: int) -> tuple:
     *pieces, tail = s.split(")")
     for piece in pieces:
         cycle = piece.lstrip()
-        if not cycle.startswith("("):
+        if not cycle.startswith("("):  # an empty piece stands before a ")"
             raise ParseError(f"unexpected {(cycle or ')')[0]!r} in cycle notation {s!r}")
         cyc = _naturals(*cycle[1:].replace(",", " ").split())
         if cyc is None:
