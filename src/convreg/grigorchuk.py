@@ -41,7 +41,7 @@ its hits and misses.
 from __future__ import annotations
 
 import re
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .errors import OrderBudgetExceeded, ParseError
 from .groups import DEFAULT_ORDER_CAP, Group, GroupElement
@@ -87,15 +87,33 @@ def reduce_word(letters: str) -> str:
 
     A word is reduced exactly when ``a`` alternates with single letters of
     {b, c, d}, so cutting it at every junction of two ``a``'s or of two
-    letters of {b, c, d} leaves reduced pieces.  :func:`_join` of two
-    reduced words is the normal form of their concatenation, so folding the
-    pieces left to right keeps a normal form of the word read so far, and by
-    confluence it is the one any order of rewriting reaches.
+    letters of {b, c, d} leaves reduced pieces; a word with one piece is
+    returned as it is.  Otherwise each piece is joined onto a stack of
+    letters as :func:`_join` joins two reduced words (equal letters at the
+    junction cancel, then two of {b, c, d} fold into one between ``a``'s),
+    so the stack is the normal form of the word read so far, and by
+    confluence the one any order of rewriting reaches.  Each letter is
+    pushed and popped at most once, so the pass is linear in the word's
+    length, where joining the pieces as strings would copy the stack at
+    every junction.
     """
     bad = _NOT_A_LETTER.search(letters)
     if bad:
         raise ParseError(f"unknown generator {bad.group()!r} (alphabet is a, b, c, d)")
-    return reduce(_join, _UNREDUCED_JUNCTION.split(letters))
+    pieces = _UNREDUCED_JUNCTION.split(letters)
+    if len(pieces) == 1:
+        return letters
+    out: list[str] = []
+    for piece in pieces:
+        j, n = 0, len(piece)
+        while out and j < n and out[-1] == piece[j]:
+            out.pop()
+            j += 1
+        if out and j < n and out[-1] != "a" != piece[j]:
+            out[-1] = _KLEIN[out[-1], piece[j]]
+            j += 1
+        out += piece[j:]
+    return "".join(out)
 
 
 def _join(x: str, y: str) -> str:

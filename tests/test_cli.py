@@ -456,6 +456,21 @@ def test_integers_at_the_digit_budget_are_read(tmp_path, capsys):
     assert (code, err) == (1, f"error: line 1: degree {num} exceeds the budget 65536\n")
 
 
+def test_weight_sum_over_the_digit_budget_is_not_spelled(tmp_path, capsys):
+    # Eight weights 1/(10^639 + j): their denominators share factors of at
+    # most 7, so the sum's numerator and denominator have over 4300 digits,
+    # more than str() converts by default.  The diagnostic names the sum's
+    # size instead of spelling it.
+    dens = [10 ** (MAX_INTEGER_DIGITS - 1) + j for j in range(1, 9)]
+    group, measure = tmp_path / "g.grp", tmp_path / "m.msr"
+    group.write_text(Z2_TEXT)
+    measure.write_text("".join(f"{j % 2} 1/{d}\n" for j, d in enumerate(dens)))
+    assert run(capsys, "check", str(group), str(measure)) == (
+        1,
+        "",
+        f"error: weights sum to a fraction of over {MAX_INTEGER_DIGITS} digits, expected 1\n",
+    )
+
 def test_ginverse_json(files, capsys):
     code, out, _ = run(capsys, "ginverse", files["z2"], files["uniform"], "--json")
     assert code == 0

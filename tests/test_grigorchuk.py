@@ -150,6 +150,19 @@ def test_reduce_word_matches_a_stack_reduction():
     assert outcome(reduce_word, "abxae") == "ParseError: unknown generator 'x' (alphabet is a, b, c, d)"
 
 
+def test_reduce_word_on_long_words():
+    # In ``abc`` every b|c junction folds and nothing cancels, so the normal
+    # form grows by two letters a piece; followed by its inverse, every piece
+    # cancels back across all the earlier ones.  A fold that copies the
+    # normal form at each of the 10^5 junctions takes about ten times this
+    # test's run time.
+    k = 10**5
+    assert reduce_word("abc" * k) == "ad" * k
+    assert reduce_word("abc" * k + "cba" * k) == ""
+    rng = random.Random(8461)
+    word = "".join(rng.choice(LETTERS) for _ in range(3 * k))
+    assert reduce_word(word) == _stack_reduce(word)
+
 def test_reduction_preserves_tree_action():
     rng = random.Random(5171)
     for _ in range(150):
